@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table/figure of the paper's evaluation
-// plus the quantitative claims in the text. Each benchmark maps to an
-// experiment in DESIGN.md §4 and records its headline quantity with
-// b.ReportMetric so `go test -bench` output doubles as the results table
-// (EXPERIMENTS.md).
+// plus the quantitative claims in the text. Each benchmark maps to one of
+// the experiments E1–E10 that cmd/evmbench prints and records its
+// headline quantity with b.ReportMetric, so `go test -bench` output
+// doubles as the results table.
 package evm
 
 import (

@@ -1,5 +1,6 @@
-// Command evmbench regenerates every experiment in DESIGN.md §4 and
-// prints paper-style result rows. Run all experiments or select one:
+// Command evmbench regenerates every experiment of the paper's
+// evaluation (E1–E10, one function each below) and prints paper-style
+// result rows. Run all experiments or select one:
 //
 //	evmbench            # everything
 //	evmbench -exp e3    # only the MAC lifetime comparison

@@ -115,7 +115,7 @@ type rebalanceHandshake struct {
 	// home node already had.
 	imported bool
 	export   wire.TaskExport
-	deadline *sim.Event
+	deadline sim.Event
 	// spanID is the open rebalance-handshake trace span, closed with the
 	// handshake's outcome on commit or abort (zero when tracing is off).
 	spanID span.ID

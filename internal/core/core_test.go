@@ -63,7 +63,7 @@ func testSpec() TaskSpec {
 	}
 }
 
-func newRig(t *testing.T, cfg VCConfig) *rig {
+func newRig(t testing.TB, cfg VCConfig) *rig {
 	t.Helper()
 	eng := sim.New()
 	rcfg := radio.DefaultConfig()
@@ -139,7 +139,7 @@ func defaultCfg() VCConfig {
 	}
 }
 
-func (r *rig) run(t *testing.T, d time.Duration) {
+func (r *rig) run(t testing.TB, d time.Duration) {
 	t.Helper()
 	_ = r.eng.RunUntil(r.eng.Now() + d)
 }

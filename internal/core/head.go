@@ -36,7 +36,7 @@ type Head struct {
 	// foreign-task adoption): the head arbitrates them like its own,
 	// using the in-cell candidate set chosen at adoption time.
 	adopted    map[string]TaskSpec
-	dormantEvs []*sim.Event
+	dormantEvs []sim.Event
 	stats      HeadStats
 
 	// failoverSink, joinSink and modeSink are the facade's event-bus

@@ -223,6 +223,7 @@ func (n *Node) RetireTask(taskID string) error {
 		return fmt.Errorf("core: node %v holds no task %s", n.id, taskID)
 	}
 	delete(n.replicas, taskID)
+	n.resort()
 	kept := make(rtos.TaskSet, 0, len(n.taskset))
 	for _, t := range n.taskset {
 		if t.ID != rtos.TaskID(taskID) {
@@ -274,6 +275,7 @@ func (n *Node) installReplica(spec TaskSpec, logic TaskLogic) *replica {
 	if !ok {
 		r = &replica{spec: spec, activeNode: spec.Candidates[0], enabled: true}
 		n.replicas[spec.ID] = r
+		n.resort()
 	}
 	r.logic = logic
 	if r.role == 0 {

@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"evm/internal/radio"
@@ -70,6 +71,10 @@ type Node struct {
 	graph *TransferGraph
 
 	replicas map[string]*replica
+	// sorted is replicas in task-ID order. It is replaced, never edited
+	// in place, so a loop over it sees the set as it was when the loop
+	// began even if the loop adds or retires a task.
+	sorted   []*replica
 	taskset  rtos.TaskSet
 	head     *Head
 	stats    NodeStats
@@ -90,6 +95,11 @@ type Node struct {
 
 	// lastSensorAt is when the node last heard the gateway.
 	lastSensorAt time.Duration
+
+	// healthRecs is sendHealthBundle's reusable record buffer, healthIn
+	// onHealth's decoder.
+	healthRecs []wire.HealthRecord
+	healthIn   wire.HealthDecoder
 }
 
 // SetMigrationSink registers the facade-level migration observer.
@@ -148,6 +158,7 @@ func NewNode(net *rtlink.Network, link *rtlink.Link, cfg VCConfig) (*Node, error
 			enabled:    true,
 		}
 	}
+	n.resort()
 	link.SetHandler(n.onMessage)
 	if n.id == cfg.Head {
 		n.head = newHead(n)
@@ -230,7 +241,7 @@ func (n *Node) Stop() {
 
 func (n *Node) minPeriod() time.Duration {
 	min := time.Duration(0)
-	for _, r := range n.sortedReplicas() {
+	for _, r := range n.sorted {
 		if min == 0 || r.spec.Period < min {
 			min = r.spec.Period
 		}
@@ -241,16 +252,16 @@ func (n *Node) minPeriod() time.Duration {
 	return min
 }
 
-// sortedReplicas returns the node's replicas in task-ID order. Every
-// behavior-visible iteration uses this so runs are reproducible
-// regardless of map layout.
-func (n *Node) sortedReplicas() []*replica {
-	out := make([]*replica, 0, len(n.replicas))
+// resort rebuilds the task-ID-ordered replica slice after the replica
+// set changed. Every behavior-visible iteration walks that slice, so runs
+// are reproducible regardless of map layout.
+func (n *Node) resort() {
+	sorted := make([]*replica, 0, len(n.replicas))
 	for _, r := range n.replicas {
-		out = append(out, r)
+		sorted = append(sorted, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].spec.ID < out[j].spec.ID })
-	return out
+	slices.SortFunc(sorted, func(a, b *replica) int { return strings.Compare(a.spec.ID, b.spec.ID) })
+	n.sorted = sorted
 }
 
 // send transmits a message, dispatching locally when the destination is
@@ -309,7 +320,7 @@ func (n *Node) onSensor(msg rtlink.Message) {
 		byPort[rd.Port] = rd.Value
 	}
 	ran := false
-	for _, r := range n.sortedReplicas() {
+	for _, r := range n.sorted {
 		if !r.enabled {
 			continue
 		}
@@ -417,8 +428,8 @@ func (n *Node) sendHealthBundle() {
 	if b := n.link.Radio().Battery(); b != nil {
 		battery = b.RemainingFraction()
 	}
-	records := make([]wire.HealthRecord, 0, len(n.replicas))
-	for _, r := range n.sortedReplicas() {
+	records := n.healthRecs[:0]
+	for _, r := range n.sorted {
 		if !r.enabled {
 			continue
 		}
@@ -433,6 +444,7 @@ func (n *Node) sendHealthBundle() {
 			HasOut: r.haveOutput,
 		})
 	}
+	n.healthRecs = records
 	if len(records) == 0 {
 		return
 	}
@@ -452,30 +464,28 @@ func (n *Node) sendHealthBundle() {
 // assessment transfer: a backup compares the primary's announced output
 // with its own computation.
 func (n *Node) onHealth(msg rtlink.Message) {
-	hb, err := wire.DecodeHealthBundle(msg.Payload)
+	// The decoded bundle is reused by the next call; onHealth never
+	// re-enters, since health bundles only ever arrive by radio.
+	hb, err := n.healthIn.Decode(msg.Payload)
 	if err != nil {
 		return
 	}
 	if n.head != nil {
-		n.head.onHealthBundle(hb)
+		n.head.onHealthBundle(*hb)
 	}
 	for _, rec := range hb.Records {
-		for _, r := range n.sortedReplicas() {
-			if r.spec.ID != rec.TaskID {
-				continue
-			}
-			if radio.NodeID(hb.Node) != r.activeNode || hb.Node == uint16(n.id) {
-				continue
-			}
-			r.lastPrimaryAt = n.eng.Now()
-			if !rec.HasOut {
-				continue
-			}
-			r.lastPrimaryOut = rec.Output
-			r.havePrimary = true
-			if r.role == wire.RoleBackup {
-				n.checkDeviation(r, rec.Seq)
-			}
+		r, ok := n.replicas[rec.TaskID]
+		if !ok || radio.NodeID(hb.Node) != r.activeNode || hb.Node == uint16(n.id) {
+			continue
+		}
+		r.lastPrimaryAt = n.eng.Now()
+		if !rec.HasOut {
+			continue
+		}
+		r.lastPrimaryOut = rec.Output
+		r.havePrimary = true
+		if r.role == wire.RoleBackup {
+			n.checkDeviation(r, rec.Seq)
 		}
 	}
 }
@@ -509,7 +519,7 @@ func (n *Node) checkDeviation(r *replica, primarySeq uint32) {
 // watchdogTick detects silent primaries (crash faults).
 func (n *Node) watchdogTick() {
 	now := n.eng.Now()
-	for _, r := range n.sortedReplicas() {
+	for _, r := range n.sorted {
 		if r.role != wire.RoleBackup || !r.enabled {
 			continue
 		}
@@ -556,7 +566,7 @@ func (n *Node) onRoleChange(msg rtlink.Message) {
 		return
 	}
 	n.stats.RoleChangesSeen++
-	for _, r := range n.sortedReplicas() {
+	for _, r := range n.sorted {
 		if r.spec.ID != rc.TaskID {
 			continue
 		}
@@ -601,7 +611,7 @@ func (n *Node) applyPendingMode() {
 	n.mode = n.pendingMode.Mode
 	n.pendingMode = nil
 	enabled, ok := n.modeTasks[n.mode]
-	for _, r := range n.sortedReplicas() {
+	for _, r := range n.sorted {
 		if !ok {
 			r.enabled = true
 			continue

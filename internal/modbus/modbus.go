@@ -45,18 +45,29 @@ func (e *ExceptionError) Error() string {
 	return fmt.Sprintf("modbus: exception %#02x on function %#02x", e.Code, e.Function)
 }
 
-// CRC16 computes the ModBus RTU CRC over data.
-func CRC16(data []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range data {
-		crc ^= uint16(b)
-		for i := 0; i < 8; i++ {
+// crcTable holds the reflected CRC-16/MODBUS (polynomial 0xA001) of
+// every byte value, so CRC16 takes one lookup per byte instead of eight
+// shift-and-xor steps.
+var crcTable = func() (t [256]uint16) {
+	for i := range t {
+		crc := uint16(i)
+		for k := 0; k < 8; k++ {
 			if crc&1 != 0 {
 				crc = crc>>1 ^ 0xA001
 			} else {
 				crc >>= 1
 			}
 		}
+		t[i] = crc
+	}
+	return t
+}()
+
+// CRC16 computes the ModBus RTU CRC over data.
+func CRC16(data []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range data {
+		crc = crc>>8 ^ crcTable[byte(crc)^b]
 	}
 	return crc
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"evm/internal/sim"
 )
 
 func newPair() (*Server, *Client) {
@@ -213,5 +215,41 @@ func TestZeroCountRejected(t *testing.T) {
 	var exc *ExceptionError
 	if _, err := cli.ParseReadResponse(resp); !errors.As(err, &exc) || exc.Code != ExcIllegalValue {
 		t.Fatalf("err = %v, want illegal-value", err)
+	}
+}
+
+// crc16Bitwise is the reference bit-at-a-time CRC-16/MODBUS that the
+// table-driven CRC16 replaced.
+func crc16Bitwise(data []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range data {
+		crc ^= uint16(b)
+		for i := 0; i < 8; i++ {
+			if crc&1 != 0 {
+				crc = crc>>1 ^ 0xA001
+			} else {
+				crc >>= 1
+			}
+		}
+	}
+	return crc
+}
+
+func TestCRCTableMatchesBitwise(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		frame := []byte{byte(b)}
+		if got, want := CRC16(frame), crc16Bitwise(frame); got != want {
+			t.Fatalf("byte %#02x: CRC16 = %#04x, bitwise = %#04x", b, got, want)
+		}
+	}
+	rng := sim.NewRNG(16)
+	for i := 0; i < 1000; i++ {
+		frame := make([]byte, rng.Intn(256))
+		for j := range frame {
+			frame[j] = byte(rng.Uint64())
+		}
+		if got, want := CRC16(frame), crc16Bitwise(frame); got != want {
+			t.Fatalf("frame %d (%d bytes): CRC16 = %#04x, bitwise = %#04x", i, len(frame), got, want)
+		}
 	}
 }

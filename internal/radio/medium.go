@@ -134,6 +134,11 @@ type Medium struct {
 	// experiments that sweep loss rates directly).
 	forcedPER float64
 	seq       uint32
+	// topo counts Attach/Detach calls. A radio whose peer table was built
+	// at an older topo rebuilds it before its next use.
+	topo uint64
+	// freeTx holds completed transmission records for reuse.
+	freeTx []*transmission
 }
 
 // NewMedium creates a medium on the given engine with its own PRNG stream.
@@ -185,6 +190,7 @@ func (m *Medium) Attach(id NodeID, pos Position, battery *Battery, model EnergyM
 	m.order = append(m.order, 0)
 	copy(m.order[at+1:], m.order[at:])
 	m.order[at] = id
+	m.topo++
 	return r, nil
 }
 
@@ -198,6 +204,7 @@ func (m *Medium) Detach(id NodeID) {
 	delete(m.radios, id)
 	at := sort.Search(len(m.order), func(i int) bool { return m.order[i] >= id })
 	m.order = append(m.order[:at], m.order[at+1:]...)
+	m.topo++
 }
 
 // Radio returns the radio attached for id, or nil.
@@ -222,22 +229,43 @@ func (m *Medium) link(a, b NodeID) *linkState {
 	return ls
 }
 
-// perFor returns the packet error rate between two radios.
-func (m *Medium) perFor(tx, rx *Radio) float64 {
-	if m.forcedPER >= 0 {
-		return m.forcedPER
+// peer is one other radio as a transmitter sees it. Positions are fixed
+// after Attach, so range and distance loss are computed once per topology.
+type peer struct {
+	r       *Radio
+	inRange bool
+	per     float64    // distance-model packet error rate (in range only)
+	link    *linkState // shared burst state of the pair (in range only)
+}
+
+// peersOf returns r's peer table: every other attached radio in m.order
+// order, so per-receiver RNG draws keep their sequence. The table is
+// rebuilt lazily after Attach/Detach, into a fresh slice so a walk over
+// the old table is never disturbed.
+func (m *Medium) peersOf(r *Radio) []peer {
+	if r.peersTopo == m.topo {
+		return r.peers
 	}
-	d := tx.pos.Distance(rx.pos)
-	if d >= m.cfg.RangeM {
-		return 1
+	peers := make([]peer, 0, len(m.order))
+	for _, id := range m.order {
+		if id == r.id {
+			continue
+		}
+		o := m.radios[id]
+		p := peer{r: o}
+		if d := r.pos.Distance(o.pos); d < m.cfg.RangeM {
+			// Quadratic growth anchored so PER(Range/2) = RefPER.
+			norm := d / (m.cfg.RangeM / 2)
+			per := m.cfg.RefPER * norm * norm
+			if per > 1 {
+				per = 1
+			}
+			p.inRange, p.per, p.link = true, per, m.link(r.id, id)
+		}
+		peers = append(peers, p)
 	}
-	// Quadratic growth anchored so PER(Range/2) = RefPER.
-	norm := d / (m.cfg.RangeM / 2)
-	per := m.cfg.RefPER * norm * norm
-	if per > 1 {
-		per = 1
-	}
-	return per
+	r.peers, r.peersTopo = peers, m.topo
+	return peers
 }
 
 // airTime returns the on-air duration for n bytes.
@@ -246,13 +274,27 @@ func (m *Medium) airTime(bytes int) time.Duration {
 	return time.Duration(secs * float64(time.Second))
 }
 
-// transmission tracks one frame in flight.
+// transmission tracks one frame in flight. Records are reused once the
+// frame completes; done is bound to the record once, at allocation.
 type transmission struct {
-	pkt      Packet
-	from     *Radio
-	start    time.Duration
-	end      time.Duration
-	collided map[NodeID]bool
+	pkt   Packet
+	buf   []byte // the medium's copy of the payload
+	from  *Radio
+	start time.Duration
+	end   time.Duration
+	// collided lists receivers whose copy was destroyed; nil until the
+	// first collision.
+	collided []NodeID
+	done     func()
+}
+
+func (tx *transmission) hasCollided(id NodeID) bool {
+	for _, c := range tx.collided {
+		if c == id {
+			return true
+		}
+	}
+	return false
 }
 
 // Transmit sends pkt from the radio. The caller must have put the radio in
@@ -266,13 +308,21 @@ func (m *Medium) transmit(from *Radio, pkt Packet) (time.Duration, error) {
 	pkt.Seq = m.seq
 	m.stats.Sent++
 	air := m.airTime(pkt.AirBytes())
-	tx := &transmission{
-		pkt:      pkt,
-		from:     from,
-		start:    m.eng.Now(),
-		end:      m.eng.Now() + air,
-		collided: make(map[NodeID]bool),
+	var tx *transmission
+	if n := len(m.freeTx); n > 0 {
+		tx = m.freeTx[n-1]
+		m.freeTx = m.freeTx[:n-1]
+	} else {
+		tx = &transmission{}
+		tx.done = func() { m.complete(tx) }
 	}
+	now := m.eng.Now()
+	if pkt.Payload != nil {
+		// Keep a private copy so the sender may reuse its buffer.
+		tx.buf = append(tx.buf[:0], pkt.Payload...)
+		pkt.Payload = tx.buf
+	}
+	tx.pkt, tx.from, tx.start, tx.end = pkt, from, now, now+air
 	if t := m.eng.Tracer(); t != nil {
 		hop := "broadcast"
 		if pkt.Hop != Broadcast {
@@ -285,49 +335,46 @@ func (m *Medium) transmit(from *Radio, pkt Packet) (time.Duration, error) {
 	}
 	// Collision marking: any receiver already capturing another frame has
 	// both frames destroyed.
-	for _, id := range m.order {
-		r := m.radios[id]
-		if id == from.id {
+	for _, p := range m.peersOf(from) {
+		if !p.inRange {
 			continue
 		}
-		if from.pos.Distance(r.pos) >= m.cfg.RangeM {
-			continue
-		}
-		if r.capture != nil && m.eng.Now() < r.capture.end {
-			r.capture.collided[id] = true
-			tx.collided[id] = true
+		r := p.r
+		if r.capture != nil && now < r.capture.end {
+			r.capture.collided = append(r.capture.collided, r.id)
+			tx.collided = append(tx.collided, r.id)
 			continue
 		}
 		r.capture = tx
 	}
-	m.eng.At(tx.end+m.cfg.PropDelay, func() { m.complete(tx) })
+	m.eng.At(tx.end+m.cfg.PropDelay, tx.done)
 	return air, nil
 }
 
 func (m *Medium) complete(tx *transmission) {
-	for _, id := range m.order {
-		r := m.radios[id]
-		if id == tx.from.id {
-			continue
+	for i, peers := 0, m.peersOf(tx.from); i < len(peers); i++ {
+		p := &peers[i]
+		if p.r.capture == tx {
+			p.r.capture = nil
 		}
-		if r.capture == tx {
-			r.capture = nil
-		}
-		m.deliverTo(tx, r)
+		m.deliverTo(tx, p)
 	}
+	tx.pkt, tx.from, tx.collided = Packet{}, nil, tx.collided[:0]
+	m.freeTx = append(m.freeTx, tx)
 }
 
-func (m *Medium) deliverTo(tx *transmission, r *Radio) {
+func (m *Medium) deliverTo(tx *transmission, p *peer) {
+	r := p.r
 	if tx.pkt.Hop != Broadcast && tx.pkt.Hop != r.id {
 		return
 	}
-	if tx.from.pos.Distance(r.pos) >= m.cfg.RangeM {
+	if !p.inRange {
 		m.stats.DroppedRange++
 		r.drops[DropOutOfRange]++
 		m.traceDrop(tx, r, "out-of-range")
 		return
 	}
-	if tx.collided[r.id] {
+	if tx.hasCollided(r.id) {
 		m.stats.DroppedColl++
 		r.drops[DropCollision]++
 		m.traceDrop(tx, r, "collision")
@@ -339,7 +386,7 @@ func (m *Medium) deliverTo(tx *transmission, r *Radio) {
 		r.drops[DropNotListening]++
 		return
 	}
-	if m.lossDraw(tx.from, r) {
+	if m.lossDraw(p) {
 		m.stats.DroppedLoss++
 		r.drops[DropLoss]++
 		m.traceDrop(tx, r, "loss")
@@ -366,10 +413,10 @@ func (m *Medium) traceDrop(tx *transmission, r *Radio, reason string) {
 		span.Arg{Key: "reason", Val: reason})
 }
 
-// lossDraw decides whether the channel destroys the frame, combining the
-// distance PER with the Gilbert-Elliott burst overlay.
-func (m *Medium) lossDraw(tx, rx *Radio) bool {
-	ls := m.link(tx.id, rx.id)
+// lossDraw decides whether the channel destroys the frame to an in-range
+// peer, combining the distance PER with the Gilbert-Elliott burst overlay.
+func (m *Medium) lossDraw(pr *peer) bool {
+	ls := pr.link
 	ge := m.cfg.Burst
 	// State transition per packet.
 	if ls.bad {
@@ -379,7 +426,10 @@ func (m *Medium) lossDraw(tx, rx *Radio) bool {
 	} else if m.rng.Bool(ge.GoodToBad) {
 		ls.bad = true
 	}
-	p := m.perFor(tx, rx)
+	p := pr.per
+	if m.forcedPER >= 0 {
+		p = m.forcedPER
+	}
 	if ls.bad {
 		p = 1 - (1-p)*(1-ge.PBad)
 	} else if ge.PGood > 0 {

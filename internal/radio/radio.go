@@ -17,6 +17,9 @@ type Radio struct {
 	model     EnergyModel
 	handler   func(Packet)
 	capture   *transmission // frame currently being captured, if any
+	peers     []peer        // see Medium.peersOf
+	peersTopo uint64
+	freeEnds  []*txEnd
 	received  int
 	drops     [5]int // indexed by DropReason
 
@@ -101,6 +104,7 @@ func (r *Radio) SetState(s State) {
 
 // Send transmits a frame. The radio is put in TX for the air time and then
 // returned to the state it was in before the call. Returns the air time.
+// The medium copies the payload, so the caller may reuse it on return.
 func (r *Radio) Send(pkt Packet) (time.Duration, error) {
 	if r.failed {
 		return 0, fmt.Errorf("radio: node %v is failed", r.id)
@@ -116,12 +120,31 @@ func (r *Radio) Send(pkt Packet) (time.Duration, error) {
 		r.SetState(prev)
 		return 0, err
 	}
-	r.med.eng.At(r.med.eng.Now()+air, func() {
-		if r.state == StateTX {
-			r.SetState(prev)
-		}
-	})
+	var end *txEnd
+	if n := len(r.freeEnds); n > 0 {
+		end = r.freeEnds[n-1]
+		r.freeEnds = r.freeEnds[:n-1]
+	} else {
+		end = &txEnd{}
+		end.fn = func() { r.endTX(end) }
+	}
+	end.prev = prev
+	r.med.eng.At(r.med.eng.Now()+air, end.fn)
 	return air, nil
+}
+
+// txEnd is one pending end-of-transmission callback: the state to return
+// to, with the callback bound once so records can be reused.
+type txEnd struct {
+	prev State
+	fn   func()
+}
+
+func (r *Radio) endTX(end *txEnd) {
+	if r.state == StateTX {
+		r.SetState(end.prev)
+	}
+	r.freeEnds = append(r.freeEnds, end)
 }
 
 // EnergyConsumedMAH returns battery charge consumed so far including the
@@ -148,11 +171,10 @@ func (r *Radio) ClockError() time.Duration {
 	return r.clockOffset + time.Duration(drift)
 }
 
-// BroadcastSync delivers an out-of-band AM synchronization pulse to every
+// Sync delivers an out-of-band AM synchronization pulse to every
 // non-failed radio. Each node's clock offset is reset to a fresh jitter
-// sample. It returns the jitter applied to each node.
-func (m *Medium) BroadcastSync() map[NodeID]time.Duration {
-	out := make(map[NodeID]time.Duration, len(m.radios))
+// sample.
+func (m *Medium) Sync() {
 	for _, id := range m.order {
 		r := m.radios[id]
 		if r.failed {
@@ -164,7 +186,17 @@ func (m *Medium) BroadcastSync() map[NodeID]time.Duration {
 		}
 		r.clockOffset = j
 		r.lastSync = m.eng.Now()
-		out[id] = j
+	}
+}
+
+// BroadcastSync is Sync returning the jitter applied to each node.
+func (m *Medium) BroadcastSync() map[NodeID]time.Duration {
+	m.Sync()
+	out := make(map[NodeID]time.Duration, len(m.radios))
+	for _, id := range m.order {
+		if r := m.radios[id]; !r.failed {
+			out[id] = r.clockOffset
+		}
 	}
 	return out
 }

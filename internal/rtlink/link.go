@@ -26,6 +26,7 @@ type Link struct {
 	net     *Network
 	r       *radio.Radio
 	txq     []fragment
+	txBuf   []byte // encode buffer; the medium copies each frame it sends
 	nextID  uint16
 	reasm   *reassembler
 	handler func(Message)
@@ -81,15 +82,15 @@ func (l *Link) Send(msg Message) error {
 	}
 	msg.Src = l.ID()
 	l.nextID++
-	frags, err := fragmentMessage(msg, l.nextID, l.net.cfg.MaxPayload)
+	n, err := fragmentCount(len(msg.Payload), l.net.cfg.MaxPayload)
 	if err != nil {
 		return err
 	}
-	if l.MaxQueue > 0 && len(l.txq)+len(frags) > l.MaxQueue {
+	if l.MaxQueue > 0 && len(l.txq)+n > l.MaxQueue {
 		l.stats.QueueDrops++
 		return fmt.Errorf("rtlink: node %v queue full (%d)", l.ID(), len(l.txq))
 	}
-	l.txq = append(l.txq, frags...)
+	l.txq, _ = appendFragments(l.txq, msg, l.nextID, l.net.cfg.MaxPayload)
 	l.stats.MsgsSent++
 	return nil
 }
@@ -118,12 +119,16 @@ func (l *Link) transmitNext() {
 	}
 	l.txThisFrame++
 	f := l.txq[0]
-	l.txq = l.txq[1:]
+	// Shift rather than reslice so the queue reuses its storage.
+	rest := copy(l.txq, l.txq[1:])
+	l.txq[rest] = fragment{}
+	l.txq = l.txq[:rest]
+	l.txBuf = f.appendEncoded(l.txBuf[:0])
 	pkt := radio.Packet{
 		Dst:     f.dst,
 		Hop:     l.nextHop(f.dst),
 		Kind:    dataKind,
-		Payload: f.encode(),
+		Payload: l.txBuf,
 	}
 	if _, err := l.r.Send(pkt); err == nil {
 		l.stats.FragsSent++

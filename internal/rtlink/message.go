@@ -51,18 +51,18 @@ type fragment struct {
 	chunk []byte
 }
 
-func (f *fragment) encode() []byte {
-	out := make([]byte, fragHeaderLen+len(f.chunk))
-	binary.BigEndian.PutUint16(out[0:2], uint16(f.src))
-	binary.BigEndian.PutUint16(out[2:4], uint16(f.dst))
-	out[4] = byte(f.kind)
-	binary.BigEndian.PutUint16(out[5:7], f.msgID)
-	out[7] = f.idx
-	out[8] = f.total
-	copy(out[fragHeaderLen:], f.chunk)
-	return out
+// appendEncoded appends the fragment's wire form to dst.
+func (f *fragment) appendEncoded(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(f.src))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(f.dst))
+	dst = append(dst, byte(f.kind))
+	dst = binary.BigEndian.AppendUint16(dst, f.msgID)
+	dst = append(dst, f.idx, f.total)
+	return append(dst, f.chunk...)
 }
 
+// decodeFragment parses a frame. The chunk aliases b: the radio hands
+// every receiver a private copy, so there is nothing to copy again.
 func decodeFragment(b []byte) (fragment, error) {
 	if len(b) < fragHeaderLen {
 		return fragment{}, errShortFrame
@@ -74,32 +74,40 @@ func decodeFragment(b []byte) (fragment, error) {
 		msgID: binary.BigEndian.Uint16(b[5:7]),
 		idx:   b[7],
 		total: b[8],
+		chunk: b[fragHeaderLen:],
 	}
-	f.chunk = make([]byte, len(b)-fragHeaderLen)
-	copy(f.chunk, b[fragHeaderLen:])
 	return f, nil
 }
 
-// fragmentMessage splits a message into slot-sized fragments.
-func fragmentMessage(msg Message, msgID uint16, maxChunk int) ([]fragment, error) {
+// fragmentCount returns how many slot-sized fragments a payload needs.
+func fragmentCount(payloadLen, maxChunk int) (int, error) {
 	if maxChunk <= 0 {
-		return nil, fmt.Errorf("rtlink: maxChunk %d", maxChunk)
+		return 0, fmt.Errorf("rtlink: maxChunk %d", maxChunk)
 	}
-	n := (len(msg.Payload) + maxChunk - 1) / maxChunk
+	n := (payloadLen + maxChunk - 1) / maxChunk
 	if n == 0 {
 		n = 1
 	}
 	if n > 255 {
-		return nil, fmt.Errorf("rtlink: message of %d bytes needs %d fragments (max 255)", len(msg.Payload), n)
+		return 0, fmt.Errorf("rtlink: message of %d bytes needs %d fragments (max 255)", payloadLen, n)
 	}
-	frags := make([]fragment, 0, n)
+	return n, nil
+}
+
+// appendFragments splits a message into slot-sized fragments appended to
+// dst. The chunks alias msg.Payload.
+func appendFragments(dst []fragment, msg Message, msgID uint16, maxChunk int) ([]fragment, error) {
+	n, err := fragmentCount(len(msg.Payload), maxChunk)
+	if err != nil {
+		return dst, err
+	}
 	for i := 0; i < n; i++ {
 		lo := i * maxChunk
 		hi := lo + maxChunk
 		if hi > len(msg.Payload) {
 			hi = len(msg.Payload)
 		}
-		frags = append(frags, fragment{
+		dst = append(dst, fragment{
 			src:   msg.Src,
 			dst:   msg.Dst,
 			kind:  msg.Kind,
@@ -109,7 +117,7 @@ func fragmentMessage(msg Message, msgID uint16, maxChunk int) ([]fragment, error
 			chunk: msg.Payload[lo:hi],
 		})
 	}
-	return frags, nil
+	return dst, nil
 }
 
 // reassembler collects fragments into whole messages.

@@ -1,6 +1,7 @@
 package rtlink
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
@@ -22,18 +23,42 @@ type Network struct {
 	cfg   Config
 	sched Schedule
 	links map[radio.NodeID]*Link
-	// order holds the joined node IDs sorted ascending. Frame-loop state
+	// members holds the joined links sorted by node ID. Frame-loop state
 	// changes (reserve replenish, sync wake/sleep) iterate it instead of
 	// the links map: map order is randomized, and per-frame radio state
 	// transitions must land in the same order every run.
-	order []radio.NodeID
-	// slots caches the sorted slot indices of sched, so per-frame slot
-	// scheduling is deterministic without re-sorting each frame.
-	slots []int
-	frame uint64
+	members []*Link
+	// plan is sched compiled for the frame loop, built at the first frame
+	// after NewNetwork or SetSchedule.
+	plan *slotPlan
+	// membership counts Join/Leave calls; a plan resolved at an older
+	// count re-resolves its link pointers before use.
+	membership uint64
+	frame      uint64
+	// runFrameFn and syncSleepFn are the frame-loop callbacks, bound once.
+	runFrameFn  func()
+	syncSleepFn func()
 
 	started bool
 	stopped bool
+}
+
+// slotPlan is one schedule ready for the frame loop: its slots in
+// ascending order, each with its link pointers and its open and close
+// callbacks. A frame captures the plan it started with, so SetSchedule
+// applies from the next frame.
+type slotPlan struct {
+	slots      []plannedSlot
+	membership uint64
+}
+
+type plannedSlot struct {
+	slot      int
+	as        SlotAssign
+	owner     *Link   // nil when the owner has not joined
+	listeners []*Link // parallel to as.Listeners; nil entries not joined
+	open      func()
+	close     func()
 }
 
 // NewNetwork creates a TDMA network over the medium. The schedule may be
@@ -52,14 +77,16 @@ func NewNetwork(med *radio.Medium, cfg Config, sched Schedule) (*Network, error)
 	if airTime > cfg.SlotDuration {
 		return nil, fmt.Errorf("rtlink: max fragment air time %v exceeds slot %v", airTime, cfg.SlotDuration)
 	}
-	return &Network{
+	n := &Network{
 		eng:   med.Engine(),
 		med:   med,
 		cfg:   cfg,
 		sched: sched,
-		slots: sim.SortedKeys(sched),
 		links: make(map[radio.NodeID]*Link),
-	}, nil
+	}
+	n.runFrameFn = n.runFrame
+	n.syncSleepFn = n.syncSleep
+	return n, nil
 }
 
 // Config returns the frame configuration.
@@ -81,7 +108,7 @@ func (n *Network) SetSchedule(s Schedule) error {
 		return err
 	}
 	n.sched = s
-	n.slots = sim.SortedKeys(s)
+	n.plan = nil
 	return nil
 }
 
@@ -103,8 +130,9 @@ func (n *Network) Join(id radio.NodeID) (*Link, error) {
 	}
 	r.SetHandler(l.onFrame)
 	n.links[id] = l
-	n.order = append(n.order, id)
-	slices.Sort(n.order)
+	at, _ := slices.BinarySearchFunc(n.members, id, func(m *Link, id radio.NodeID) int { return cmp.Compare(m.ID(), id) })
+	n.members = slices.Insert(n.members, at, l)
+	n.membership++
 	return l, nil
 }
 
@@ -118,9 +146,10 @@ func (n *Network) Leave(id radio.NodeID) {
 	}
 	l.r.SetHandler(nil)
 	delete(n.links, id)
-	if i := slices.Index(n.order, id); i >= 0 {
-		n.order = append(n.order[:i], n.order[i+1:]...)
+	if i := slices.Index(n.members, l); i >= 0 {
+		n.members = slices.Delete(n.members, i, i+1)
 	}
+	n.membership++
 }
 
 // Link returns the link layer for id, or nil.
@@ -132,11 +161,41 @@ func (n *Network) Start() {
 		return
 	}
 	n.started = true
-	n.eng.At(n.eng.Now(), n.runFrame)
+	n.eng.At(n.eng.Now(), n.runFrameFn)
 }
 
 // Stop halts the frame loop after the current frame completes.
 func (n *Network) Stop() { n.stopped = true }
+
+// compile builds the plan for the current schedule. Slots are kept in
+// ascending order so engine insertion order (the tie-break for same-time,
+// same-priority events) never depends on map order.
+func (n *Network) compile() *slotPlan {
+	p := &slotPlan{slots: make([]plannedSlot, 0, len(n.sched))}
+	for _, slot := range sim.SortedKeys(n.sched) {
+		p.slots = append(p.slots, plannedSlot{slot: slot, as: n.sched[slot]})
+	}
+	for i := range p.slots {
+		ps := &p.slots[i]
+		ps.listeners = make([]*Link, len(ps.as.Listeners))
+		ps.open = func() { n.openSlot(p, ps) }
+		ps.close = func() { n.closeSlot(p, ps) }
+	}
+	n.resolve(p)
+	return p
+}
+
+// resolve points the plan's slots at the currently joined links.
+func (n *Network) resolve(p *slotPlan) {
+	for i := range p.slots {
+		ps := &p.slots[i]
+		ps.owner = n.links[ps.as.Owner]
+		for j, id := range ps.as.Listeners {
+			ps.listeners[j] = n.links[id]
+		}
+	}
+	p.membership = n.membership
+}
 
 func (n *Network) runFrame() {
 	if n.stopped {
@@ -149,66 +208,72 @@ func (n *Network) runFrame() {
 		t.Complete("frame", "rtlink", "rtlink", frameStart, frameStart+n.cfg.FrameDuration(),
 			span.Arg{Key: "frame", Val: strconv.FormatUint(n.frame, 10)})
 	}
-	for _, id := range n.order {
-		n.links[id].txThisFrame = 0 // replenish network reserves
+	for _, l := range n.members {
+		l.txThisFrame = 0 // replenish network reserves
 	}
 	if active {
 		// Sync slot: every live node wakes to catch the AM pulse.
-		n.med.BroadcastSync()
-		for _, id := range n.order {
-			if l := n.links[id]; !l.r.Failed() {
+		n.med.Sync()
+		for _, l := range n.members {
+			if !l.r.Failed() {
 				l.r.SetState(radio.StateRX)
 			}
 		}
-		n.eng.AtPrio(frameStart+n.cfg.SlotDuration, -1, func() {
-			for _, id := range n.order {
-				if l := n.links[id]; !l.r.Failed() {
-					l.r.SetState(radio.StateSleep)
-				}
-			}
-		})
-		// Capture: SetSchedule applies next frame. Slots schedule in
-		// ascending order so engine insertion order (the tie-break for
-		// same-time, same-priority events) never depends on map order.
-		sched, slots := n.sched, n.slots
+		n.eng.AtPrio(frameStart+n.cfg.SlotDuration, -1, n.syncSleepFn)
+		if n.plan == nil {
+			n.plan = n.compile()
+		}
 		tracer := n.eng.Tracer()
-		for _, slot := range slots {
-			as := sched[slot]
-			at := frameStart + time.Duration(slot)*n.cfg.SlotDuration
+		for i := range n.plan.slots {
+			ps := &n.plan.slots[i]
+			at := frameStart + time.Duration(ps.slot)*n.cfg.SlotDuration
 			if tracer != nil {
 				tracer.Complete("slot", "rtlink", "rtlink", at, at+n.cfg.SlotDuration,
-					span.Arg{Key: "slot", Val: strconv.Itoa(slot)},
-					span.Arg{Key: "owner", Val: strconv.Itoa(int(as.Owner))})
+					span.Arg{Key: "slot", Val: strconv.Itoa(ps.slot)},
+					span.Arg{Key: "owner", Val: strconv.Itoa(int(ps.as.Owner))})
 			}
-			n.eng.AtPrio(at, 0, func() { n.openSlot(as) })
-			n.eng.AtPrio(at+n.cfg.SlotDuration, -1, func() { n.closeSlot(as) })
+			n.eng.AtPrio(at, 0, ps.open)
+			n.eng.AtPrio(at+n.cfg.SlotDuration, -1, ps.close)
 		}
 	}
-	n.eng.At(frameStart+n.cfg.FrameDuration(), n.runFrame)
+	n.eng.At(frameStart+n.cfg.FrameDuration(), n.runFrameFn)
 }
 
-// openSlot wakes the listeners and fires the owner's transmission.
-func (n *Network) openSlot(as SlotAssign) {
-	for _, id := range as.Listeners {
-		if l, ok := n.links[id]; ok && !l.r.Failed() {
-			l.r.SetState(radio.StateRX)
-		}
-	}
-	owner, ok := n.links[as.Owner]
-	if !ok || owner.r.Failed() {
-		return
-	}
-	owner.transmitNext()
-}
-
-// closeSlot returns all participants to sleep.
-func (n *Network) closeSlot(as SlotAssign) {
-	for _, id := range as.Listeners {
-		if l, ok := n.links[id]; ok && !l.r.Failed() {
+// syncSleep ends the sync slot: every live node goes back to sleep.
+func (n *Network) syncSleep() {
+	for _, l := range n.members {
+		if !l.r.Failed() {
 			l.r.SetState(radio.StateSleep)
 		}
 	}
-	if owner, ok := n.links[as.Owner]; ok && !owner.r.Failed() {
+}
+
+// openSlot wakes the listeners and fires the owner's transmission.
+func (n *Network) openSlot(p *slotPlan, ps *plannedSlot) {
+	if p.membership != n.membership {
+		n.resolve(p)
+	}
+	for _, l := range ps.listeners {
+		if l != nil && !l.r.Failed() {
+			l.r.SetState(radio.StateRX)
+		}
+	}
+	if owner := ps.owner; owner != nil && !owner.r.Failed() {
+		owner.transmitNext()
+	}
+}
+
+// closeSlot returns all participants to sleep.
+func (n *Network) closeSlot(p *slotPlan, ps *plannedSlot) {
+	if p.membership != n.membership {
+		n.resolve(p)
+	}
+	for _, l := range ps.listeners {
+		if l != nil && !l.r.Failed() {
+			l.r.SetState(radio.StateSleep)
+		}
+	}
+	if owner := ps.owner; owner != nil && !owner.r.Failed() {
 		owner.r.SetState(radio.StateSleep)
 	}
 }

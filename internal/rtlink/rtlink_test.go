@@ -10,7 +10,7 @@ import (
 )
 
 // testNet builds a mesh network of n nodes with a perfect channel.
-func testNet(t *testing.T, n int) (*sim.Engine, *Network) {
+func testNet(t testing.TB, n int) (*sim.Engine, *Network) {
 	t.Helper()
 	eng := sim.New()
 	rcfg := radio.DefaultConfig()
@@ -100,7 +100,7 @@ func TestFragmentationLargeMessage(t *testing.T) {
 
 func TestFragmentMath(t *testing.T) {
 	msg := Message{Src: 1, Dst: 2, Kind: 3, Payload: make([]byte, 250)}
-	frags, err := fragmentMessage(msg, 42, 100)
+	frags, err := appendFragments(nil, msg, 42, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,19 +111,19 @@ func TestFragmentMath(t *testing.T) {
 		t.Fatalf("tail chunk = %d, want 50", len(frags[2].chunk))
 	}
 	// Empty payload still produces one fragment.
-	frags, err = fragmentMessage(Message{Dst: 2}, 1, 100)
+	frags, err = appendFragments(nil, Message{Dst: 2}, 1, 100)
 	if err != nil || len(frags) != 1 {
 		t.Fatalf("empty message fragments = %d err %v, want 1", len(frags), err)
 	}
 	// Oversize message rejected.
-	if _, err := fragmentMessage(Message{Payload: make([]byte, 100*256)}, 1, 100); err == nil {
+	if _, err := appendFragments(nil, Message{Payload: make([]byte, 100*256)}, 1, 100); err == nil {
 		t.Fatal("oversize message accepted")
 	}
 }
 
 func TestFragmentRoundTrip(t *testing.T) {
 	f := fragment{src: 10, dst: 20, kind: 5, msgID: 999, idx: 3, total: 7, chunk: []byte("data")}
-	got, err := decodeFragment(f.encode())
+	got, err := decodeFragment(f.appendEncoded(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

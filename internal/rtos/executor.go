@@ -42,7 +42,7 @@ type Executor struct {
 	tasks      TaskSet
 	ready      []*job
 	running    *job
-	runEv      *sim.Event
+	runEv      sim.Event
 	chunkStart time.Duration
 	stats      map[TaskID]*JobStats
 	tickers    map[TaskID]*sim.Ticker
@@ -116,10 +116,8 @@ func (ex *Executor) Stop() {
 	for _, id := range sim.SortedKeys(ex.tickers) {
 		ex.tickers[id].Stop()
 	}
-	if ex.runEv != nil {
-		ex.eng.Cancel(ex.runEv)
-		ex.runEv = nil
-	}
+	ex.eng.Cancel(ex.runEv)
+	ex.runEv = sim.Event{}
 	ex.running = nil
 	ex.ready = nil
 }
@@ -158,10 +156,8 @@ func (ex *Executor) RemoveTask(id TaskID) {
 	}
 	ex.ready = kept
 	if ex.running != nil && ex.running.task.ID == id {
-		if ex.runEv != nil {
-			ex.eng.Cancel(ex.runEv)
-			ex.runEv = nil
-		}
+		ex.eng.Cancel(ex.runEv)
+		ex.runEv = sim.Event{}
 		ex.running = nil
 		ex.dispatch()
 	}
@@ -220,10 +216,8 @@ func (ex *Executor) dispatch() {
 		}
 		ex.running.started = true
 		ex.stats[ex.running.task.ID].Preemptions++
-		if ex.runEv != nil {
-			ex.eng.Cancel(ex.runEv)
-			ex.runEv = nil
-		}
+		ex.eng.Cancel(ex.runEv)
+		ex.runEv = sim.Event{}
 		ex.ready = append(ex.ready, ex.running)
 		ex.running = nil
 	}
@@ -273,7 +267,7 @@ func (ex *Executor) chunkDone(j *job, chunk time.Duration) {
 	if ex.stopped || ex.running != j {
 		return
 	}
-	ex.runEv = nil
+	ex.runEv = sim.Event{}
 	ex.running = nil
 	if rs := ex.reserves.Get(j.task.ID, ResourceCPU); rs != nil {
 		rs.TryConsume(ex.eng.Now(), chunk.Seconds())

@@ -8,6 +8,7 @@ import (
 
 func BenchmarkEngineScheduleAndFire(b *testing.B) {
 	e := New()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.After(time.Microsecond, func() {})
@@ -15,7 +16,38 @@ func BenchmarkEngineScheduleAndFire(b *testing.B) {
 	}
 }
 
+// TestEngineScheduleAndFireAllocs pins the steady state: once one event
+// record exists, scheduling and firing reuses it.
+func TestEngineScheduleAndFireAllocs(t *testing.T) {
+	e := New()
+	fn := func() {}
+	e.After(time.Microsecond, fn)
+	e.Step()
+	got := testing.AllocsPerRun(1000, func() {
+		e.After(time.Microsecond, fn)
+		e.Step()
+	})
+	if got != 0 {
+		t.Fatalf("allocs per schedule+fire = %v, want 0", got)
+	}
+}
+
+// TestTickerAllocs: a running ticker reschedules itself without
+// allocating.
+func TestTickerAllocs(t *testing.T) {
+	e := New()
+	n := 0
+	tk := e.Every(time.Millisecond, func() { n++ })
+	e.Step()
+	got := testing.AllocsPerRun(1000, func() { e.Step() })
+	tk.Stop()
+	if got != 0 {
+		t.Fatalf("allocs per tick = %v, want 0", got)
+	}
+}
+
 func BenchmarkEngineChurn1000(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := New()
 		for j := 0; j < 1000; j++ {

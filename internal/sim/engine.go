@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"time"
 
@@ -18,69 +17,55 @@ import (
 // requested horizon is reached.
 var ErrHorizon = errors.New("sim: event queue drained before horizon")
 
-// Event is a scheduled callback on the virtual timeline. Events are created
-// through Engine.At / Engine.After and may be cancelled until they fire.
-type Event struct {
+// event is one queued callback. Fired events go back to their engine's
+// free list and are reused; gen counts the reuses so stale handles can be
+// told apart from the event currently occupying the record.
+type event struct {
 	at       time.Duration
 	prio     int
 	seq      uint64
 	fn       func()
 	index    int // heap index, -1 once removed
+	gen      uint64
 	canceled bool
 }
 
-// At reports the virtual time at which the event is (or was) scheduled.
-func (ev *Event) At() time.Duration { return ev.at }
-
-// Canceled reports whether Cancel was called on the event.
-func (ev *Event) Canceled() bool { return ev.canceled }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].prio != h[j].prio {
-		return h[i].prio < h[j].prio
-	}
-	return h[i].seq < h[j].seq
+// Event is a handle to a scheduled callback, returned by Engine.At,
+// Engine.AtPrio and Engine.After. The zero value means "no event".
+// A handle stays valid after its event fires: cancelling it then is a
+// no-op even though the engine has reused the record for a later event.
+type Event struct {
+	ev  *event
+	gen uint64
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// Canceled reports whether Cancel removed the event before it fired.
+// Cancelled records are never reused, so the answer stays true.
+func (h Event) Canceled() bool {
+	return h.ev != nil && h.ev.gen == h.gen && h.ev.canceled
 }
 
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*Event)
-	if !ok {
-		return
+// less orders events by time, then priority, then scheduling order. The
+// order is total, so the firing sequence does not depend on heap layout.
+func less(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+	if a.prio != b.prio {
+		return a.prio < b.prio
+	}
+	return a.seq < b.seq
 }
 
 // Engine is a single-threaded discrete-event scheduler over virtual time.
 // The zero value is not usable; construct with New.
 type Engine struct {
-	now     time.Duration
-	queue   eventHeap
-	seq     uint64
-	stopped bool
+	now   time.Duration
+	queue []*event // binary min-heap under less
+	// free holds fired event records for reuse. It never outgrows the
+	// peak queue length, and being per engine it needs no locking.
+	free []*event
+	seq  uint64
 	// tracer, when non-nil, records causal spans for this engine's run.
 	// Every subsystem holding an engine reference reaches it through
 	// Tracer(), so enabling tracing never changes constructor signatures.
@@ -107,69 +92,78 @@ func (e *Engine) Pending() int { return len(e.queue) }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // clamps to the current time (the event fires on the next Step).
-func (e *Engine) At(t time.Duration, fn func()) *Event {
+func (e *Engine) At(t time.Duration, fn func()) Event {
 	return e.atPrio(t, 0, fn)
 }
 
 // AtPrio schedules fn at time t with an explicit tie-break priority; among
 // events at the same instant, lower prio fires first.
-func (e *Engine) AtPrio(t time.Duration, prio int, fn func()) *Event {
+func (e *Engine) AtPrio(t time.Duration, prio int, fn func()) Event {
 	return e.atPrio(t, prio, fn)
 }
 
 // After schedules fn to run d after the current virtual time.
-func (e *Engine) After(d time.Duration, fn func()) *Event {
+func (e *Engine) After(d time.Duration, fn func()) Event {
 	return e.atPrio(e.now+d, 0, fn)
 }
 
-func (e *Engine) atPrio(t time.Duration, prio int, fn func()) *Event {
+func (e *Engine) atPrio(t time.Duration, prio int, fn func()) Event {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	ev := &Event{at: t, prio: prio, seq: e.seq, fn: fn}
-	heap.Push(&e.queue, ev)
-	return ev
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	} else {
+		ev = &event{}
+	}
+	ev.at, ev.prio, ev.seq, ev.fn = t, prio, e.seq, fn
+	ev.index = len(e.queue)
+	e.queue = append(e.queue, ev)
+	e.up(ev.index)
+	return Event{ev: ev, gen: ev.gen}
 }
 
-// Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.canceled || ev.index < 0 {
-		if ev != nil {
-			ev.canceled = true
-		}
+// Cancel removes a pending event. Cancelling the zero Event, an event
+// that already fired or one already cancelled is a no-op.
+func (e *Engine) Cancel(h Event) {
+	ev := h.ev
+	if ev == nil || ev.gen != h.gen || ev.canceled || ev.index < 0 {
 		return
 	}
 	ev.canceled = true
-	heap.Remove(&e.queue, ev.index)
+	e.remove(ev.index)
+	ev.fn = nil
 }
 
 // Step fires the next event, advancing the clock to it. It returns false
 // when the queue is empty.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev, ok := heap.Pop(&e.queue).(*Event)
-		if !ok {
-			return false
-		}
-		if ev.canceled {
-			continue
-		}
-		e.now = ev.at
-		if t := e.tracer; t != nil && t.Dispatch() {
-			// Dispatch spans are zero-width in virtual time (the clock
-			// does not advance inside a callback) but give every span
-			// recorded within the callback its causal parent.
-			id := t.Enter("dispatch", "sim", "engine", e.now)
-			ev.fn()
-			t.Exit(id, e.now)
-		} else {
-			ev.fn()
-		}
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	ev := e.remove(0)
+	e.now = ev.at
+	fn := ev.fn
+	// Recycle before dispatch: the callback's own scheduling reuses the
+	// record, and any handle to it is stale from here on.
+	ev.fn = nil
+	ev.gen++
+	e.free = append(e.free, ev)
+	if t := e.tracer; t != nil && t.Dispatch() {
+		// Dispatch spans are zero-width in virtual time (the clock
+		// does not advance inside a callback) but give every span
+		// recorded within the callback its causal parent.
+		id := t.Enter("dispatch", "sim", "engine", e.now)
+		fn()
+		t.Exit(id, e.now)
+	} else {
+		fn()
+	}
+	return true
 }
 
 // RunUntil executes events until the virtual clock reaches horizon. Events
@@ -178,12 +172,7 @@ func (e *Engine) Step() bool {
 // horizon and ErrHorizon is returned.
 func (e *Engine) RunUntil(horizon time.Duration) error {
 	for len(e.queue) > 0 {
-		next := e.queue[0]
-		if next.canceled {
-			heap.Pop(&e.queue)
-			continue
-		}
-		if next.at >= horizon {
+		if e.queue[0].at >= horizon {
 			e.now = horizon
 			return nil
 		}
@@ -199,32 +188,92 @@ func (e *Engine) Run() {
 	}
 }
 
+// remove takes the event at heap index i out of the queue and returns it.
+func (e *Engine) remove(i int) *event {
+	q := e.queue
+	n := len(q) - 1
+	ev := q[i]
+	if i != n {
+		q[i] = q[n]
+		q[i].index = i
+		if !e.down(i, n) {
+			e.up(i)
+		}
+	}
+	q[n] = nil
+	e.queue = q[:n]
+	ev.index = -1
+	return ev
+}
+
+func (e *Engine) up(j int) {
+	q := e.queue
+	for j > 0 {
+		i := (j - 1) / 2
+		if !less(q[j], q[i]) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		q[i].index = i
+		q[j].index = j
+		j = i
+	}
+}
+
+// down sifts the element at i0 toward the leaves within q[:n] and reports
+// whether it moved.
+func (e *Engine) down(i0, n int) bool {
+	q := e.queue
+	i := i0
+	for {
+		l := 2*i + 1
+		if l >= n || l < 0 {
+			break
+		}
+		j := l
+		if r := l + 1; r < n && less(q[r], q[l]) {
+			j = r
+		}
+		if !less(q[j], q[i]) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		q[i].index = i
+		q[j].index = j
+		i = j
+	}
+	return i > i0
+}
+
 // Ticker fires a callback at a fixed period until stopped.
 type Ticker struct {
 	eng    *Engine
 	period time.Duration
 	fn     func()
-	ev     *Event
+	tickFn func() // t.tick, bound once so rescheduling does not allocate
+	ev     Event
 	stop   bool
 }
 
 // Every schedules fn to fire every period, first at now+period.
 // The returned Ticker must be stopped to release it.
 func (e *Engine) Every(period time.Duration, fn func()) *Ticker {
-	t := &Ticker{eng: e, period: period, fn: fn}
-	t.schedule()
+	t := newTicker(e, period, fn)
+	t.ev = e.After(period, t.tickFn)
 	return t
 }
 
 // EveryAt is like Every but fires first at the absolute time first.
 func (e *Engine) EveryAt(first, period time.Duration, fn func()) *Ticker {
-	t := &Ticker{eng: e, period: period, fn: fn}
-	t.ev = e.At(first, t.tick)
+	t := newTicker(e, period, fn)
+	t.ev = e.At(first, t.tickFn)
 	return t
 }
 
-func (t *Ticker) schedule() {
-	t.ev = t.eng.After(t.period, t.tick)
+func newTicker(e *Engine, period time.Duration, fn func()) *Ticker {
+	t := &Ticker{eng: e, period: period, fn: fn}
+	t.tickFn = t.tick
+	return t
 }
 
 func (t *Ticker) tick() {
@@ -233,14 +282,13 @@ func (t *Ticker) tick() {
 	}
 	t.fn()
 	if !t.stop {
-		t.schedule()
+		t.ev = t.eng.After(t.period, t.tickFn)
 	}
 }
 
-// Stop cancels the ticker; pending fires are removed.
+// Stop cancels the ticker; pending fires are removed. Stop may be called
+// from the ticker's own callback and any number of times.
 func (t *Ticker) Stop() {
 	t.stop = true
-	if t.ev != nil {
-		t.eng.Cancel(t.ev)
-	}
+	t.eng.Cancel(t.ev)
 }

@@ -76,7 +76,7 @@ func TestEngineCancel(t *testing.T) {
 	}
 	// Double-cancel is a no-op.
 	e.Cancel(ev)
-	e.Cancel(nil)
+	e.Cancel(Event{})
 }
 
 func TestEngineSchedulePastClamps(t *testing.T) {
@@ -164,5 +164,84 @@ func TestPending(t *testing.T) {
 	e.Run()
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d after Run, want 0", e.Pending())
+	}
+}
+
+func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
+	e := New()
+	old := e.At(time.Millisecond, func() {})
+	e.Run()
+	fired := false
+	cur := e.At(2*time.Millisecond, func() { fired = true })
+	if old.ev != cur.ev {
+		t.Fatal("fired event record was not reused")
+	}
+	e.Cancel(old)
+	if old.Canceled() || cur.Canceled() {
+		t.Fatal("stale handle reported or caused a cancellation")
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d after stale cancel, want 1", e.Pending())
+	}
+	e.Run()
+	if !fired {
+		t.Fatal("stale handle cancelled the event reusing its record")
+	}
+}
+
+func TestCancelZeroEvent(t *testing.T) {
+	e := New()
+	fired := false
+	e.At(time.Millisecond, func() { fired = true })
+	var zero Event
+	e.Cancel(zero)
+	if zero.Canceled() {
+		t.Fatal("zero Event reports Canceled")
+	}
+	e.Run()
+	if !fired || e.Pending() != 0 {
+		t.Fatal("cancelling the zero Event disturbed the queue")
+	}
+}
+
+func TestCanceledEventNotRecycled(t *testing.T) {
+	e := New()
+	ev := e.At(time.Millisecond, func() {})
+	e.Cancel(ev)
+	next := e.At(time.Millisecond, func() {})
+	if next.ev == ev.ev {
+		t.Fatal("cancelled event record was reused")
+	}
+	e.Run()
+	if !ev.Canceled() {
+		t.Fatal("Canceled() = false once the engine moved on")
+	}
+}
+
+func TestTickerStopInsideCallbackAndAgain(t *testing.T) {
+	e := New()
+	count := 0
+	var tk *Ticker
+	tk = e.Every(time.Millisecond, func() {
+		count++
+		if count == 2 {
+			tk.Stop()
+			tk.Stop()
+		}
+	})
+	// Other events reuse the ticker's fired records; a later Stop must
+	// not cancel them.
+	later := 0
+	e.At(10*time.Millisecond, func() {
+		tk.Stop()
+		e.After(time.Millisecond, func() { later++ })
+		tk.Stop()
+	})
+	e.Run()
+	if count != 2 {
+		t.Fatalf("ticks = %d, want 2", count)
+	}
+	if later != 1 {
+		t.Fatal("Stop after the ticker ended cancelled an unrelated event")
 	}
 }

@@ -1,6 +1,6 @@
 // Package trace records time series and summary statistics from
-// simulation runs and renders them as CSV — the raw material for every
-// figure and table in EXPERIMENTS.md.
+// simulation runs and renders them as CSV — the raw material for the
+// paper-style figures and tables that cmd/evmbench and cmd/evmsim print.
 package trace
 
 import (

@@ -269,7 +269,7 @@ type Actuate struct {
 
 // Encode packs the command.
 func (a Actuate) Encode() ([]byte, error) {
-	var w writer
+	w := writer{buf: make([]byte, 0, 1+8+4+1+len(a.TaskID))}
 	w.u8(a.Port)
 	w.f64(a.Value)
 	w.u32(a.Seq)
@@ -331,12 +331,23 @@ type HealthRecord struct {
 	HasOut bool
 }
 
+// Encoded sizes: node, battery and record count; then per record role,
+// seq, has-output flag, output and the task ID's length byte.
+const (
+	healthBundleHeaderLen = 2 + 8 + 1
+	healthRecordFixedLen  = 1 + 4 + 1 + 8 + 1
+)
+
 // Encode packs the bundle.
 func (hb HealthBundle) Encode() ([]byte, error) {
 	if len(hb.Records) > 255 {
 		return nil, fmt.Errorf("wire: %d health records exceed 255", len(hb.Records))
 	}
-	var w writer
+	size := healthBundleHeaderLen
+	for _, rec := range hb.Records {
+		size += healthRecordFixedLen + len(rec.TaskID)
+	}
+	w := writer{buf: make([]byte, 0, size)}
 	w.u16(hb.Node)
 	w.f64(hb.Battery)
 	w.u8(uint8(len(hb.Records)))
@@ -358,8 +369,26 @@ func (hb HealthBundle) Encode() ([]byte, error) {
 
 // DecodeHealthBundle unpacks a bundle.
 func DecodeHealthBundle(b []byte) (HealthBundle, error) {
+	var d HealthDecoder
+	hb, err := d.Decode(b)
+	return *hb, err
+}
+
+// maxInternedIDs bounds a HealthDecoder's task-ID table.
+const maxInternedIDs = 64
+
+// HealthDecoder decodes a stream of health bundles into one reused
+// HealthBundle. It keeps the task IDs it has seen (up to maxInternedIDs),
+// so a receiver decoding bundles about known tasks allocates nothing.
+type HealthDecoder struct {
+	hb  HealthBundle
+	ids []string
+}
+
+// Decode unpacks b. The returned bundle is overwritten by the next call.
+func (d *HealthDecoder) Decode(b []byte) (*HealthBundle, error) {
+	hb := &d.hb
 	r := reader{buf: b}
-	var hb HealthBundle
 	var err error
 	if hb.Node, err = r.u16(); err != nil {
 		return hb, err
@@ -371,7 +400,10 @@ func DecodeHealthBundle(b []byte) (HealthBundle, error) {
 	if err != nil {
 		return hb, err
 	}
-	hb.Records = make([]HealthRecord, 0, n)
+	if hb.Records == nil || cap(hb.Records) < int(n) {
+		hb.Records = make([]HealthRecord, 0, n)
+	}
+	hb.Records = hb.Records[:0]
 	for i := 0; i < int(n); i++ {
 		var rec HealthRecord
 		role, err := r.u8()
@@ -390,12 +422,37 @@ func DecodeHealthBundle(b []byte) (HealthBundle, error) {
 		if rec.Output, err = r.f64(); err != nil {
 			return hb, err
 		}
-		if rec.TaskID, err = r.str(); err != nil {
+		if rec.TaskID, err = d.taskID(&r); err != nil {
 			return hb, err
 		}
 		hb.Records = append(hb.Records, rec)
 	}
 	return hb, nil
+}
+
+// taskID reads a length-prefixed task ID, returning the interned copy
+// when the decoder has seen it before.
+func (d *HealthDecoder) taskID(r *reader) (string, error) {
+	n, err := r.u8()
+	if err != nil {
+		return "", err
+	}
+	end := r.off + int(n)
+	if end > len(r.buf) {
+		return "", ErrTruncated
+	}
+	b := r.buf[r.off:end]
+	r.off = end
+	for _, id := range d.ids {
+		if string(b) == id {
+			return id, nil
+		}
+	}
+	id := string(b)
+	if len(d.ids) < maxInternedIDs {
+		d.ids = append(d.ids, id)
+	}
+	return id, nil
 }
 
 // Encode packs the health record.

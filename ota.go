@@ -350,8 +350,8 @@ type Rollout struct {
 	state  RolloutState
 	reason string
 
-	stageTimer  *sim.Event
-	healthTimer *sim.Event
+	stageTimer  sim.Event
+	healthTimer sim.Event
 	healthSub   *Subscription
 	checkers    []InvariantChecker
 	lastAct     map[string]time.Duration
@@ -983,12 +983,8 @@ func (r *Rollout) finish(state RolloutState, reason string) {
 		args = append(args, span.Arg{Key: "reason", Val: reason})
 	}
 	tr.Close(r.spanID, now, args...)
-	if r.stageTimer != nil {
-		r.c.eng.Cancel(r.stageTimer)
-	}
-	if r.healthTimer != nil {
-		r.c.eng.Cancel(r.healthTimer)
-	}
+	r.c.eng.Cancel(r.stageTimer)
+	r.c.eng.Cancel(r.healthTimer)
 	if r.healthSub != nil {
 		r.healthSub.Cancel()
 		r.healthSub = nil
