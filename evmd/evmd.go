@@ -471,10 +471,10 @@ func (s *Server) execute(run *Run) {
 			run.mu.Lock()
 			run.cells = cells
 			run.mu.Unlock()
-			sub := bus.Subscribe(func(ev evm.Event) { run.stream.observe(run, ev) })
+			sub := bus.Subscribe(func(ev evm.Event) { run.stream.observe(ev) })
 			return func(metrics map[string]float64) {
 				sub.Cancel()
-				run.stream.finalize(run, now(), metrics)
+				run.stream.finalize(now(), metrics)
 			}
 		},
 	}

@@ -61,81 +61,55 @@ func sampleSeries(ev evm.Event) string {
 }
 
 // stream is one run's append-only observation log: event records for
-// streaming subscribers and flat samples for telemetry export. Writers
-// (the run's worker goroutine) append under mu; readers follow the log
-// by index and block on cond until more arrives or the stream closes.
-// Late subscribers replay from the start — runs are deterministic and
-// bounded, so replay-from-zero is both cheap and the property the
+// streaming subscribers, plus the final metrics once the run ends.
+// Telemetry samples are derived from those two on demand rather than
+// stored, so a finished run kept for replay holds each event once.
+// Writers (the run's worker goroutine) append under mu; readers follow
+// the log by index and block on cond until more arrives or the stream
+// closes. Late subscribers replay from the start — runs are deterministic
+// and bounded, so replay-from-zero is both cheap and the property the
 // determinism tests lean on.
 type stream struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	events  []EventRecord
-	samples []Sample
-	counts  map[string]float64
+	metrics map[string]float64 // the run's final metrics, shared with Run
+	horizon float64            // virtual seconds at finalize
 	closed  bool
 }
 
 func newStream() *stream {
-	s := &stream{counts: make(map[string]float64)}
+	s := &stream{}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// observe appends one bus event as a stream record plus a cumulative
-// (cell, series) count sample. It runs synchronously on the simulation
-// goroutine, so ordering is the bus's deterministic publication order.
-func (s *stream) observe(run *Run, ev evm.Event) {
+// observe appends one bus event as a stream record. It runs synchronously
+// on the simulation goroutine, so ordering is the bus's deterministic
+// publication order.
+func (s *stream) observe(ev evm.Event) {
 	cell := ""
 	if ce, ok := ev.(evm.CellEvent); ok {
 		cell = ce.Cell
 	}
-	series := sampleSeries(ev)
 	rec := EventRecord{
 		T:      ev.When().Seconds(),
 		Cell:   cell,
-		Series: series,
+		Series: sampleSeries(ev),
 		Event:  ev.String(),
 	}
 	s.mu.Lock()
 	s.events = append(s.events, rec)
-	key := cell + "|" + series
-	s.counts[key]++
-	s.samples = append(s.samples, Sample{
-		T:        rec.T,
-		Run:      run.ID,
-		Tenant:   run.Tenant,
-		Scenario: run.Spec.Scenario,
-		Seed:     run.Spec.Seed,
-		Cell:     cell,
-		Series:   series,
-		Value:    s.counts[key],
-	})
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
-// finalize stamps every final run metric as a sample at the horizon.
-// Metric keys are emitted in sorted order so the sample log, like the
-// event log, is byte-deterministic.
-func (s *stream) finalize(run *Run, now time.Duration, metrics map[string]float64) {
-	keys := make([]string, 0, len(metrics))
-	for k := range metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+// finalize records the run's final metrics, stamped at the horizon. The
+// map is the Runner's result and is not modified afterwards.
+func (s *stream) finalize(now time.Duration, metrics map[string]float64) {
 	s.mu.Lock()
-	for _, k := range keys {
-		s.samples = append(s.samples, Sample{
-			T:        now.Seconds(),
-			Run:      run.ID,
-			Tenant:   run.Tenant,
-			Scenario: run.Spec.Scenario,
-			Seed:     run.Spec.Seed,
-			Series:   "metric." + k,
-			Value:    metrics[k],
-		})
-	}
+	s.metrics = metrics
+	s.horizon = now.Seconds()
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -178,7 +152,7 @@ func (s *stream) wake() {
 func (s *stream) lens() (events, samples int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.events), len(s.samples)
+	return len(s.events), len(s.events) + len(s.metrics)
 }
 
 // snapshotEvents copies the event records seen so far.
@@ -188,11 +162,46 @@ func (s *stream) snapshotEvents() []EventRecord {
 	return append([]EventRecord(nil), s.events...)
 }
 
-// snapshotSamples copies the samples seen so far.
-func (s *stream) snapshotSamples() []Sample {
+// samples derives the run's flat telemetry so far: one cumulative
+// (cell, series) count sample per event, then one sample per final
+// metric at the horizon, in key order so the log is byte-deterministic.
+func (s *stream) samples(run *Run) []Sample {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Sample(nil), s.samples...)
+	events, metrics, horizon := s.events[:len(s.events):len(s.events)], s.metrics, s.horizon
+	s.mu.Unlock()
+	out := make([]Sample, 0, len(events)+len(metrics))
+	counts := make(map[string]float64)
+	for _, rec := range events {
+		key := rec.Cell + "|" + rec.Series
+		counts[key]++
+		out = append(out, Sample{
+			T:        rec.T,
+			Run:      run.ID,
+			Tenant:   run.Tenant,
+			Scenario: run.Spec.Scenario,
+			Seed:     run.Spec.Seed,
+			Cell:     rec.Cell,
+			Series:   rec.Series,
+			Value:    counts[key],
+		})
+	}
+	keys := make([]string, 0, len(metrics))
+	for k := range metrics {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		out = append(out, Sample{
+			T:        horizon,
+			Run:      run.ID,
+			Tenant:   run.Tenant,
+			Scenario: run.Spec.Scenario,
+			Seed:     run.Spec.Seed,
+			Series:   "metric." + k,
+			Value:    metrics[k],
+		})
+	}
+	return out
 }
 
 // Events returns the run's streamed event records so far (all of them
@@ -200,7 +209,7 @@ func (s *stream) snapshotSamples() []Sample {
 func (r *Run) Events() []EventRecord { return r.stream.snapshotEvents() }
 
 // Samples returns the run's flat telemetry samples so far.
-func (r *Run) Samples() []Sample { return r.stream.snapshotSamples() }
+func (r *Run) Samples() []Sample { return r.stream.samples(r) }
 
 // WriteSamplesCSV renders samples as one flat CSV table
 // (t,run,tenant,scenario,seed,cell,series,value).
@@ -240,7 +249,7 @@ func SerialEvents(spec evm.RunSpec) ([]EventRecord, error) {
 			if exp.Campus != nil {
 				bus = exp.Campus.Events
 			}
-			sub := bus().Subscribe(func(ev evm.Event) { ref.stream.observe(ref, ev) })
+			sub := bus().Subscribe(func(ev evm.Event) { ref.stream.observe(ev) })
 			return func(map[string]float64) { sub.Cancel() }
 		},
 	}

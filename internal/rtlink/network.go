@@ -35,7 +35,8 @@ type Network struct {
 	// count re-resolves its link pointers before use.
 	membership uint64
 	frame      uint64
-	// runFrameFn and syncSleepFn are the frame-loop callbacks, bound once.
+	// runFrameFn and syncSleepFn are the frame-loop callbacks, bound once
+	// by Start.
 	runFrameFn  func()
 	syncSleepFn func()
 
@@ -77,16 +78,13 @@ func NewNetwork(med *radio.Medium, cfg Config, sched Schedule) (*Network, error)
 	if airTime > cfg.SlotDuration {
 		return nil, fmt.Errorf("rtlink: max fragment air time %v exceeds slot %v", airTime, cfg.SlotDuration)
 	}
-	n := &Network{
+	return &Network{
 		eng:   med.Engine(),
 		med:   med,
 		cfg:   cfg,
 		sched: sched,
 		links: make(map[radio.NodeID]*Link),
-	}
-	n.runFrameFn = n.runFrame
-	n.syncSleepFn = n.syncSleep
-	return n, nil
+	}, nil
 }
 
 // Config returns the frame configuration.
@@ -161,6 +159,8 @@ func (n *Network) Start() {
 		return
 	}
 	n.started = true
+	n.runFrameFn = n.runFrame
+	n.syncSleepFn = n.syncSleep
 	n.eng.At(n.eng.Now(), n.runFrameFn)
 }
 
