@@ -317,7 +317,7 @@ func (m *Medium) transmit(from *Radio, pkt Packet) (time.Duration, error) {
 		tx.done = func() { m.complete(tx) }
 	}
 	now := m.eng.Now()
-	if pkt.Payload != nil {
+	if len(pkt.Payload) > 0 {
 		// Keep a private copy so the sender may reuse its buffer.
 		tx.buf = append(tx.buf[:0], pkt.Payload...)
 		pkt.Payload = tx.buf

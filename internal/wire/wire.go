@@ -169,16 +169,22 @@ func (r *reader) blob() ([]byte, error) {
 }
 
 func (r *reader) str() (string, error) {
+	b, err := r.field()
+	return string(b), err
+}
+
+// field reads a u8-length-prefixed field, aliasing the buffer.
+func (r *reader) field() ([]byte, error) {
 	n, err := r.u8()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if r.off+int(n) > len(r.buf) {
-		return "", ErrTruncated
+		return nil, ErrTruncated
 	}
-	s := string(r.buf[r.off : r.off+int(n)])
+	b := r.buf[r.off : r.off+int(n)]
 	r.off += int(n)
-	return s, nil
+	return b, nil
 }
 
 // --- sensor snapshot ---------------------------------------------------------
@@ -401,7 +407,7 @@ func (d *HealthDecoder) Decode(b []byte) (*HealthBundle, error) {
 		return hb, err
 	}
 	if hb.Records == nil || cap(hb.Records) < int(n) {
-		hb.Records = make([]HealthRecord, 0, n)
+		hb.Records = make([]HealthRecord, 0, n) // never nil, even when empty
 	}
 	hb.Records = hb.Records[:0]
 	for i := 0; i < int(n); i++ {
@@ -433,16 +439,10 @@ func (d *HealthDecoder) Decode(b []byte) (*HealthBundle, error) {
 // taskID reads a length-prefixed task ID, returning the interned copy
 // when the decoder has seen it before.
 func (d *HealthDecoder) taskID(r *reader) (string, error) {
-	n, err := r.u8()
+	b, err := r.field()
 	if err != nil {
 		return "", err
 	}
-	end := r.off + int(n)
-	if end > len(r.buf) {
-		return "", ErrTruncated
-	}
-	b := r.buf[r.off:end]
-	r.off = end
 	for _, id := range d.ids {
 		if string(b) == id {
 			return id, nil
