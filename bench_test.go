@@ -24,23 +24,51 @@ import (
 
 func BenchmarkFig6Failover(b *testing.B) {
 	var lastLevelDrop, lastRecover float64
+	var events uint64
 	for i := 0; i < b.N; i++ {
-		cfg := DefaultGasPlantConfig()
-		cfg.Seed = uint64(i + 1)
-		cfg.DeviationWindow = 240 // 60 s deliberation, shortened from the paper's 300 s
-		s, err := NewGasPlant(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := s.RunFig6(120*time.Second, 600*time.Second)
+		res, dispatched, err := runFig6(uint64(i + 1))
 		if err != nil {
 			b.Fatal(err)
 		}
 		lastLevelDrop = res.LevelBefore - res.LevelMin
 		lastRecover = res.LevelEnd - res.LevelMin
+		events += dispatched
 	}
 	b.ReportMetric(lastLevelDrop, "level-drop-pct")
 	b.ReportMetric(lastRecover, "level-recover-pct")
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
+
+// runFig6 runs the Fig. 6 compute fault on the gas plant for one seed and
+// returns the result with the number of engine events the run fired.
+func runFig6(seed uint64) (Fig6Result, uint64, error) {
+	cfg := DefaultGasPlantConfig()
+	cfg.Seed = seed
+	cfg.DeviationWindow = 240 // 60 s deliberation, shortened from the paper's 300 s
+	s, err := NewGasPlant(cfg)
+	if err != nil {
+		return Fig6Result{}, 0, err
+	}
+	res, err := s.RunFig6(120*time.Second, 600*time.Second)
+	return res, s.Cell.Engine().Dispatched(), err
+}
+
+// runCounted runs one spec on a serial Runner and returns its result with
+// the number of engine events the run fired.
+func runCounted(spec RunSpec) (RunResult, uint64) {
+	var eng func() *sim.Engine
+	r := &Runner{Workers: 1, Instrument: func(_ RunSpec, exp *Experiment) func(map[string]float64) {
+		eng = exp.Cell.Engine
+		if exp.Campus != nil {
+			eng = exp.Campus.Engine
+		}
+		return nil
+	}}
+	res := r.RunOne(spec)
+	if eng == nil {
+		return res, 0
+	}
+	return res, eng().Dispatched()
 }
 
 // --- E2: fail-over latency distribution vs packet loss ----------------------
@@ -654,18 +682,21 @@ func BenchmarkPIDLogicStep(b *testing.B) {
 // confirming zero invariant violations per run.
 func BenchmarkRingSeverRecovery(b *testing.B) {
 	var reroutes, rebalances float64
+	var events uint64
 	for i := 0; i < b.N; i++ {
-		res := (&Runner{Workers: 1}).Run([]RunSpec{{
+		res, dispatched := runCounted(RunSpec{
 			Scenario: ScenarioRefineryRingSever, Seed: uint64(i + 1), Horizon: 40 * time.Second,
-		}})
-		if res[0].Err != nil {
-			b.Fatal(res[0].Err)
+		})
+		if res.Err != nil {
+			b.Fatal(res.Err)
 		}
-		reroutes += res[0].Metrics[MetricBackboneReroutes]
-		rebalances += res[0].Metrics[MetricRebalances]
+		reroutes += res.Metrics[MetricBackboneReroutes]
+		rebalances += res.Metrics[MetricRebalances]
+		events += dispatched
 	}
 	b.ReportMetric(reroutes/float64(b.N), "reroutes")
 	b.ReportMetric(rebalances/float64(b.N), "rebalances")
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
 // BenchmarkInvariantChecking measures the replay cost of the built-in
@@ -695,20 +726,23 @@ func BenchmarkInvariantChecking(b *testing.B) {
 // delivery volume; rollouts/op must stay 1.
 func BenchmarkCampusRollout(b *testing.B) {
 	var frames, rollouts, rollbacks float64
+	var events uint64
 	for i := 0; i < b.N; i++ {
-		res := (&Runner{Workers: 1}).Run([]RunSpec{{
+		res, dispatched := runCounted(RunSpec{
 			Scenario: ScenarioOTACampus, Seed: uint64(i + 1), Horizon: 30 * time.Second,
-		}})
-		if res[0].Err != nil {
-			b.Fatal(res[0].Err)
+		})
+		if res.Err != nil {
+			b.Fatal(res.Err)
 		}
-		frames += res[0].Metrics[MetricCapsuleFrames]
-		rollouts += res[0].Metrics[MetricRollouts]
-		rollbacks += res[0].Metrics[MetricRollbacks]
+		frames += res.Metrics[MetricCapsuleFrames]
+		rollouts += res.Metrics[MetricRollouts]
+		rollbacks += res.Metrics[MetricRollbacks]
+		events += dispatched
 	}
 	b.ReportMetric(frames/float64(b.N), "capsule_frames")
 	b.ReportMetric(rollouts/float64(b.N), "rollouts")
 	b.ReportMetric(rollbacks/float64(b.N), "rollbacks")
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
 // --- Observability: span-derived latency distributions ----------------------

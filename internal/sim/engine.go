@@ -66,6 +66,8 @@ type Engine struct {
 	// peak queue length, and being per engine it needs no locking.
 	free []*event
 	seq  uint64
+	// dispatched counts fired events, for exact per-run regression gates.
+	dispatched uint64
 	// tracer, when non-nil, records causal spans for this engine's run.
 	// Every subsystem holding an engine reference reaches it through
 	// Tracer(), so enabling tracing never changes constructor signatures.
@@ -86,6 +88,9 @@ func (e *Engine) SetTracer(t *span.Tracer) { e.tracer = t }
 
 // Tracer returns the attached span tracer, or nil when tracing is off.
 func (e *Engine) Tracer() *span.Tracer { return e.tracer }
+
+// Dispatched returns the number of events fired so far.
+func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
 // Pending returns the number of events still queued.
 func (e *Engine) Pending() int { return len(e.queue) }
@@ -153,6 +158,7 @@ func (e *Engine) Step() bool {
 	ev.fn = nil
 	ev.gen++
 	e.free = append(e.free, ev)
+	e.dispatched++
 	if t := e.tracer; t != nil && t.Dispatch() {
 		// Dispatch spans are zero-width in virtual time (the clock
 		// does not advance inside a callback) but give every span
