@@ -35,6 +35,9 @@ type Network struct {
 	// count re-resolves its link pointers before use.
 	membership uint64
 	frame      uint64
+	// lane carries each frame's sync-sleep and slot open/close events,
+	// which runFrame appends in ascending order. Created by Start.
+	lane *sim.Lane
 	// runFrameFn and syncSleepFn are the frame-loop callbacks, bound once
 	// by Start.
 	runFrameFn  func()
@@ -159,6 +162,7 @@ func (n *Network) Start() {
 		return
 	}
 	n.started = true
+	n.lane = n.eng.NewLane()
 	n.runFrameFn = n.runFrame
 	n.syncSleepFn = n.syncSleep
 	n.eng.At(n.eng.Now(), n.runFrameFn)
@@ -169,7 +173,8 @@ func (n *Network) Stop() { n.stopped = true }
 
 // compile builds the plan for the current schedule. Slots are kept in
 // ascending order so engine insertion order (the tie-break for same-time,
-// same-priority events) never depends on map order.
+// same-priority events) never depends on map order, and so a frame's slot
+// events reach the lane in ascending time.
 func (n *Network) compile() *slotPlan {
 	p := &slotPlan{slots: make([]plannedSlot, 0, len(n.sched))}
 	for _, slot := range sim.SortedKeys(n.sched) {
@@ -219,7 +224,9 @@ func (n *Network) runFrame() {
 				l.r.SetState(radio.StateRX)
 			}
 		}
-		n.eng.AtPrio(frameStart+n.cfg.SlotDuration, -1, n.syncSleepFn)
+		// Lane order: sync sleep (F+S, -1), then per slot k open
+		// (F+kS, 0) and close (F+(k+1)S, -1), with k ascending.
+		n.lane.AtPrio(frameStart+n.cfg.SlotDuration, -1, n.syncSleepFn)
 		if n.plan == nil {
 			n.plan = n.compile()
 		}
@@ -232,8 +239,8 @@ func (n *Network) runFrame() {
 					span.Arg{Key: "slot", Val: strconv.Itoa(ps.slot)},
 					span.Arg{Key: "owner", Val: strconv.Itoa(int(ps.as.Owner))})
 			}
-			n.eng.AtPrio(at, 0, ps.open)
-			n.eng.AtPrio(at+n.cfg.SlotDuration, -1, ps.close)
+			n.lane.AtPrio(at, 0, ps.open)
+			n.lane.AtPrio(at+n.cfg.SlotDuration, -1, ps.close)
 		}
 	}
 	n.eng.At(frameStart+n.cfg.FrameDuration(), n.runFrameFn)

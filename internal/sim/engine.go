@@ -8,6 +8,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"evm/internal/span"
@@ -17,13 +18,30 @@ import (
 // requested horizon is reached.
 var ErrHorizon = errors.New("sim: event queue drained before horizon")
 
+// key orders events: by time, then priority, then scheduling order. The
+// order is total, so the firing sequence depends neither on heap layout
+// nor on which queue (heap or lane) holds an event.
+type key struct {
+	at   time.Duration
+	prio int
+	seq  uint64
+}
+
+func (a key) less(b key) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.prio != b.prio {
+		return a.prio < b.prio
+	}
+	return a.seq < b.seq
+}
+
 // event is one queued callback. Fired events go back to their engine's
 // free list and are reused; gen counts the reuses so stale handles can be
 // told apart from the event currently occupying the record.
 type event struct {
-	at       time.Duration
-	prio     int
-	seq      uint64
+	key
 	fn       func()
 	index    int // heap index, -1 once removed
 	gen      uint64
@@ -45,17 +63,7 @@ func (h Event) Canceled() bool {
 	return h.ev != nil && h.ev.gen == h.gen && h.ev.canceled
 }
 
-// less orders events by time, then priority, then scheduling order. The
-// order is total, so the firing sequence does not depend on heap layout.
-func less(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.prio != b.prio {
-		return a.prio < b.prio
-	}
-	return a.seq < b.seq
-}
+func less(a, b *event) bool { return a.key.less(b.key) }
 
 // Engine is a single-threaded discrete-event scheduler over virtual time.
 // The zero value is not usable; construct with New.
@@ -66,6 +74,9 @@ type Engine struct {
 	// peak queue length, and being per engine it needs no locking.
 	free []*event
 	seq  uint64
+	// lanes are the in-order queues created by NewLane. Dispatch merges
+	// their heads with the heap top.
+	lanes []*Lane
 	// dispatched counts fired events, for exact per-run regression gates.
 	dispatched uint64
 	// tracer, when non-nil, records causal spans for this engine's run.
@@ -92,8 +103,15 @@ func (e *Engine) Tracer() *span.Tracer { return e.tracer }
 // Dispatched returns the number of events fired so far.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
-// Pending returns the number of events still queued.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending returns the number of events still queued, on the heap and on
+// every lane.
+func (e *Engine) Pending() int {
+	n := len(e.queue)
+	for _, l := range e.lanes {
+		n += len(l.evs) - l.head
+	}
+	return n
+}
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // clamps to the current time (the event fires on the next Step).
@@ -144,20 +162,50 @@ func (e *Engine) Cancel(h Event) {
 	ev.fn = nil
 }
 
-// Step fires the next event, advancing the clock to it. It returns false
-// when the queue is empty.
-func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
-		return false
+// next returns the key of the earliest pending event and where it waits:
+// lane index i, or -1 for the heap. ok is false when nothing is pending.
+func (e *Engine) next() (k key, lane int, ok bool) {
+	lane = -1
+	if len(e.queue) > 0 {
+		k, ok = e.queue[0].key, true
 	}
-	ev := e.remove(0)
-	e.now = ev.at
-	fn := ev.fn
-	// Recycle before dispatch: the callback's own scheduling reuses the
-	// record, and any handle to it is stale from here on.
-	ev.fn = nil
-	ev.gen++
-	e.free = append(e.free, ev)
+	for i, l := range e.lanes {
+		if l.head == len(l.evs) {
+			continue
+		}
+		if h := l.evs[l.head].key; !ok || h.less(k) {
+			k, lane, ok = h, i, true
+		}
+	}
+	return k, lane, ok
+}
+
+// Step fires the next event, advancing the clock to it. It returns false
+// when nothing is pending.
+func (e *Engine) Step() bool {
+	_, lane, ok := e.next()
+	if ok {
+		e.dispatch(lane)
+	}
+	return ok
+}
+
+// dispatch fires the head of the given queue (a lane index, or -1 for the
+// heap), which must be the earliest pending event.
+func (e *Engine) dispatch(lane int) {
+	var fn func()
+	if lane < 0 {
+		ev := e.remove(0)
+		e.now = ev.at
+		fn = ev.fn
+		// Recycle before dispatch: the callback's own scheduling reuses
+		// the record, and any handle to it is stale from here on.
+		ev.fn = nil
+		ev.gen++
+		e.free = append(e.free, ev)
+	} else {
+		fn = e.lanes[lane].pop()
+	}
 	e.dispatched++
 	if t := e.tracer; t != nil && t.Dispatch() {
 		// Dispatch spans are zero-width in virtual time (the clock
@@ -169,7 +217,6 @@ func (e *Engine) Step() bool {
 	} else {
 		fn()
 	}
-	return true
 }
 
 // RunUntil executes events until the virtual clock reaches horizon. Events
@@ -177,15 +224,18 @@ func (e *Engine) Step() bool {
 // horizon on success. If the queue drains early the clock is advanced to the
 // horizon and ErrHorizon is returned.
 func (e *Engine) RunUntil(horizon time.Duration) error {
-	for len(e.queue) > 0 {
-		if e.queue[0].at >= horizon {
+	for {
+		k, lane, ok := e.next()
+		if !ok {
+			e.now = horizon
+			return ErrHorizon
+		}
+		if k.at >= horizon {
 			e.now = horizon
 			return nil
 		}
-		e.Step()
+		e.dispatch(lane)
 	}
-	e.now = horizon
-	return ErrHorizon
 }
 
 // Run executes events until the queue is empty.
@@ -249,6 +299,68 @@ func (e *Engine) down(i0, n int) bool {
 		i = j
 	}
 	return i > i0
+}
+
+// Lane is an in-order event queue that the engine merges with its heap at
+// dispatch. A schedule whose events are known in ascending order (a TDMA
+// frame's slot boundaries) appends them here for O(1) each instead of
+// sifting them through the heap. Lane events draw sequence numbers from
+// the engine exactly as Engine.AtPrio does, so an event fires at the same
+// point whichever queue holds it. They have no handle and cannot be
+// cancelled.
+type Lane struct {
+	eng  *Engine
+	evs  []laneEvent // pending events are evs[head:]
+	head int
+}
+
+type laneEvent struct {
+	key
+	fn func()
+}
+
+// NewLane returns an empty lane on the engine.
+func (e *Engine) NewLane() *Lane {
+	l := &Lane{eng: e}
+	e.lanes = append(e.lanes, l)
+	return l
+}
+
+// AtPrio appends fn at time t with tie-break priority prio, with the
+// clamping and ordering of Engine.AtPrio. It panics if the event would
+// order before the lane's last pending event.
+func (l *Lane) AtPrio(t time.Duration, prio int, fn func()) {
+	e := l.eng
+	if t < e.now {
+		t = e.now
+	}
+	if n := len(l.evs); n > l.head {
+		if last := l.evs[n-1]; t < last.at || t == last.at && prio < last.prio {
+			panic(fmt.Sprintf("sim: lane event at (%v, %d) orders before pending (%v, %d)", t, prio, last.at, last.prio))
+		}
+	}
+	if l.head > 0 && len(l.evs) == cap(l.evs) {
+		// Reclaim the fired prefix before growing.
+		n := copy(l.evs, l.evs[l.head:])
+		clear(l.evs[n:])
+		l.evs, l.head = l.evs[:n], 0
+	}
+	e.seq++
+	l.evs = append(l.evs, laneEvent{key: key{t, prio, e.seq}, fn: fn})
+}
+
+// pop removes the lane's head, advances the clock to it and returns its
+// callback. A drained lane rewinds so its storage is reused.
+func (l *Lane) pop() func() {
+	le := &l.evs[l.head]
+	l.eng.now = le.at
+	fn := le.fn
+	le.fn = nil
+	l.head++
+	if l.head == len(l.evs) {
+		l.evs, l.head = l.evs[:0], 0
+	}
+	return fn
 }
 
 // Ticker fires a callback at a fixed period until stopped.
