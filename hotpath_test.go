@@ -1,8 +1,12 @@
 package evm
 
 import (
+	"math"
+	"math/big"
 	"testing"
 	"time"
+
+	"evm/internal/radio"
 )
 
 // headlineRuns are the first iterations (seed 1) of the three headline
@@ -42,4 +46,92 @@ func TestHeadlineDispatchCounts(t *testing.T) {
 			t.Errorf("%s: events/op = %d, want %d", c.name, got, c.events)
 		}
 	}
+}
+
+// TestEnergyMatchesPerTransitionSum replays a 600 s gas-plant run with a
+// crash and a recovery one event at a time, records every radio's
+// power-state timeline and prices it two ways: with the per-transition
+// float loop batteries used before they kept exact per-state times, and
+// exactly, in big.Float. The battery must match the old loop to 1e-12
+// relative (they differ only by float rounding) and the exact sum to a
+// few ulps (it rounds once per state instead of once per transition).
+func TestEnergyMatchesPerTransitionSum(t *testing.T) {
+	s, err := NewGasPlant(DefaultGasPlantConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := FaultPlan{Name: "crash-recover", Steps: []FaultStep{
+		{At: 120 * time.Second, CrashNode: GasCtrlAID},
+		{At: 300 * time.Second, RecoverNode: GasCtrlAID},
+	}}
+	if err := s.Cell.ApplyFaultPlan(plan); err != nil {
+		t.Fatal(err)
+	}
+	model := radio.DefaultEnergyModel()
+	type track struct {
+		r      *radio.Radio
+		state  radio.State
+		failed bool
+		since  time.Duration
+		mas    float64 // the old loop: one float multiply-add per settle
+		exact  big.Float
+	}
+	charge := func(tr *track, now time.Duration) {
+		d := now - tr.since
+		tr.mas += model.Current(tr.state) * d.Seconds()
+		var term big.Float
+		term.SetPrec(256).SetFloat64(model.Current(tr.state))
+		term.Mul(&term, new(big.Float).SetPrec(256).SetInt64(int64(d)))
+		term.Quo(&term, new(big.Float).SetPrec(256).SetInt64(int64(time.Second)))
+		tr.exact.Add(&tr.exact, &term)
+	}
+	var tracks []*track
+	for _, id := range s.Cell.med.Nodes() {
+		r := s.Cell.med.Radio(id)
+		tr := &track{r: r, state: r.State()}
+		tr.exact.SetPrec(256)
+		tracks = append(tracks, tr)
+	}
+	eng := s.Cell.Engine()
+	transitions := 0
+	for eng.Now() < 600*time.Second && eng.Step() {
+		now := eng.Now()
+		for _, tr := range tracks {
+			st, failed := tr.r.State(), tr.r.Failed()
+			if st == tr.state && failed == tr.failed {
+				continue
+			}
+			// Fail settles before raising the flag and Recover after
+			// clearing it, so time spent failed is charged (at the
+			// sleep current) only once the radio recovers.
+			if !tr.failed || !failed {
+				charge(tr, now)
+			}
+			tr.state, tr.failed, tr.since = st, failed, now
+			transitions++
+		}
+	}
+	if transitions < 10000 {
+		t.Fatalf("only %d state transitions recorded", transitions)
+	}
+	var worstOld, worstExact float64
+	for _, tr := range tracks {
+		if !tr.failed {
+			charge(tr, eng.Now())
+		}
+		got := tr.r.EnergyConsumedMAH() * 3600
+		exact, _ := tr.exact.Float64()
+		worstOld = max(worstOld, math.Abs(got-tr.mas)/tr.mas)
+		worstExact = max(worstExact, math.Abs(got-exact)/exact)
+		if tr.mas <= 0 || math.Abs(got-tr.mas) > 1e-12*tr.mas {
+			t.Errorf("node %d: consumed %.17g mAs, per-transition sum %.17g (rel %.3g)",
+				tr.r.ID(), got, tr.mas, math.Abs(got-tr.mas)/tr.mas)
+		}
+		if math.Abs(got-exact) > 1e-15*exact {
+			t.Errorf("node %d: consumed %.17g mAs, exact %.17g (rel %.3g)",
+				tr.r.ID(), got, exact, math.Abs(got-exact)/exact)
+		}
+	}
+	t.Logf("%d transitions; worst relative deviation from the old loop %.3g, from the exact sum %.3g",
+		transitions, worstOld, worstExact)
 }

@@ -401,7 +401,7 @@ func TestEnergyFaultProactiveMigration(t *testing.T) {
 	r.run(t, 2*time.Second)
 	// Drain the primary's battery below the 5% threshold.
 	b := r.nodes[ctrlA].Link().Radio().Battery()
-	b.Drain(2600*0.97, time.Hour)
+	b.ConsumeFraction(0.97)
 	r.run(t, 3*time.Second)
 	if !fired {
 		t.Fatal("low battery did not trigger proactive failover")

@@ -39,10 +39,18 @@ func (m EnergyModel) Current(s State) float64 {
 	}
 }
 
-// Battery integrates charge consumption over virtual time.
+// Battery accounts charge consumption over virtual time. It keeps the
+// exact time spent in each power state and prices it with the energy
+// model of the radio it is attached to only when read, so the per-slot
+// path does integer additions and the float rounding happens once.
 type Battery struct {
 	CapacityMAH float64
-	consumedMAS float64 // milliamp-seconds
+	// model prices the state times; Medium.Attach binds the radio's.
+	model EnergyModel
+	// spent is the settled time in each power state, indexed by State.
+	spent [StateTX + 1]time.Duration
+	// instantMAS is charge removed by ConsumeFraction, in milliamp-seconds.
+	instantMAS float64
 }
 
 // NewBattery returns a battery with the given capacity in mAh. Two AA
@@ -51,9 +59,11 @@ func NewBattery(capacityMAH float64) *Battery {
 	return &Battery{CapacityMAH: capacityMAH}
 }
 
-// Drain consumes currentMA for dur of virtual time.
-func (b *Battery) Drain(currentMA float64, dur time.Duration) {
-	b.consumedMAS += currentMA * dur.Seconds()
+// spend charges dur of virtual time in state s.
+func (b *Battery) spend(s State, dur time.Duration) {
+	if s >= StateSleep && s <= StateTX {
+		b.spent[s] += dur
+	}
 }
 
 // ConsumeFraction instantly consumes the given fraction of the total
@@ -64,13 +74,25 @@ func (b *Battery) ConsumeFraction(f float64) {
 	if f <= 0 {
 		return
 	}
-	b.consumedMAS += f * b.CapacityMAH * 3600
+	b.instantMAS += f * b.CapacityMAH * 3600
 }
 
-// ConsumedMAH returns the total charge consumed so far.
-func (b *Battery) ConsumedMAH() float64 { return b.consumedMAS / 3600 }
+// consumedMAS returns the charge consumed so far in milliamp-seconds:
+// each state's current times its settled time, plus instant drains.
+func (b *Battery) consumedMAS() float64 {
+	mas := 0.0
+	for s := StateSleep; s <= StateTX; s++ {
+		mas += b.model.Current(s) * b.spent[s].Seconds()
+	}
+	return mas + b.instantMAS
+}
 
-// RemainingFraction returns remaining charge in [0,1].
+// ConsumedMAH returns the total charge consumed as of the attached
+// radio's last state change.
+func (b *Battery) ConsumedMAH() float64 { return b.consumedMAS() / 3600 }
+
+// RemainingFraction returns remaining charge in [0,1] as of the attached
+// radio's last state change.
 func (b *Battery) RemainingFraction() float64 {
 	if b.CapacityMAH <= 0 {
 		return 0
@@ -89,10 +111,11 @@ func (b *Battery) Depleted() bool { return b.RemainingFraction() <= 0 }
 // current observed over elapsed continues indefinitely. Returns 0 if no
 // charge has been consumed yet.
 func (b *Battery) LifetimeAt(elapsed time.Duration) time.Duration {
-	if b.consumedMAS <= 0 || elapsed <= 0 {
+	mas := b.consumedMAS()
+	if mas <= 0 || elapsed <= 0 {
 		return 0
 	}
-	avgMA := b.consumedMAS / elapsed.Seconds()
+	avgMA := mas / elapsed.Seconds()
 	hours := b.CapacityMAH / avgMA
 	return time.Duration(hours * float64(time.Hour))
 }

@@ -170,11 +170,15 @@ func (m *Medium) ForcePER(per float64) { m.forcedPER = per }
 // when the distance model is active.
 func (m *Medium) ForcedPER() float64 { return m.forcedPER }
 
-// Attach creates and registers a radio for the node. Attaching a duplicate
-// ID returns an error.
+// Attach creates and registers a radio for the node, binding the energy
+// model to the battery (which may be nil for a mains-powered node).
+// Attaching a duplicate ID returns an error.
 func (m *Medium) Attach(id NodeID, pos Position, battery *Battery, model EnergyModel) (*Radio, error) {
 	if _, ok := m.radios[id]; ok {
 		return nil, fmt.Errorf("radio: node %v already attached", id)
+	}
+	if battery != nil {
+		battery.model = model
 	}
 	r := &Radio{
 		id:        id,
@@ -183,7 +187,6 @@ func (m *Medium) Attach(id NodeID, pos Position, battery *Battery, model EnergyM
 		state:     StateSleep,
 		lastSince: m.eng.Now(),
 		battery:   battery,
-		model:     model,
 	}
 	m.radios[id] = r
 	at := sort.Search(len(m.order), func(i int) bool { return m.order[i] >= id })

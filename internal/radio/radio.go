@@ -14,7 +14,6 @@ type Radio struct {
 	state     State
 	lastSince time.Duration // when the current state was entered
 	battery   *Battery
-	model     EnergyModel
 	handler   func(Packet)
 	capture   *transmission // frame currently being captured, if any
 	peers     []peer        // see Medium.peersOf
@@ -84,7 +83,7 @@ func (r *Radio) Recover() {
 func (r *Radio) settle() {
 	now := r.med.eng.Now()
 	if r.battery != nil && !r.failed {
-		r.battery.Drain(r.model.Current(r.state), now-r.lastSince)
+		r.battery.spend(r.state, now-r.lastSince)
 	}
 	r.lastSince = now
 }

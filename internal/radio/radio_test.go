@@ -238,9 +238,53 @@ func TestEnergyAccounting(t *testing.T) {
 	}
 }
 
+// TestEnergySplitIntervalBitIdentical: reading the charge mid-interval
+// settles the interval in pieces, and the pieces must sum to the very same
+// charge as one settle at the end: state times are exact integers.
+func TestEnergySplitIntervalBitIdentical(t *testing.T) {
+	eng, m := newTestMedium(t, perfectConfig())
+	whole := attach(t, m, 1, Position{0, 0})
+	split := attach(t, m, 2, Position{1, 0})
+	whole.SetState(StateRX)
+	split.SetState(StateRX)
+	for i := 1; i <= 1000; i++ {
+		eng.At(time.Duration(i)*7919*time.Microsecond+time.Duration(i), func() { split.EnergyConsumedMAH() })
+	}
+	end := 8 * time.Second
+	eng.At(end, func() {
+		whole.SetState(StateSleep)
+		split.SetState(StateSleep)
+	})
+	eng.Run()
+	a, b := whole.Battery().ConsumedMAH(), split.Battery().ConsumedMAH()
+	if a != b {
+		t.Fatalf("split interval charged %.17g mAh, whole %.17g", b, a)
+	}
+	if want := DefaultEnergyModel().RXCurrentMA * end.Hours(); math.Abs(a-want) > 1e-12*want {
+		t.Fatalf("charged %.17g mAh, want %.17g", a, want)
+	}
+}
+
+// TestEnergyInstantDrainAddsToStateCharge: ConsumeFraction adds to the
+// priced state times rather than replacing them.
+func TestEnergyInstantDrainAddsToStateCharge(t *testing.T) {
+	eng, m := newTestMedium(t, perfectConfig())
+	a := attach(t, m, 1, Position{0, 0})
+	a.SetState(StateRX)
+	eng.At(time.Hour, func() {
+		a.Battery().ConsumeFraction(0.5)
+		a.SetState(StateSleep)
+	})
+	eng.Run()
+	want := DefaultEnergyModel().RXCurrentMA + 1300
+	if got := a.Battery().ConsumedMAH(); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("consumed %.6f mAh, want %.6f", got, want)
+	}
+}
+
 func TestLifetimeExtrapolation(t *testing.T) {
 	b := NewBattery(2600)
-	b.Drain(1.0, time.Hour) // 1 mA average
+	b.ConsumeFraction(1.0 / 2600) // 1 mAh in an hour: 1 mA average
 	life := b.LifetimeAt(time.Hour)
 	wantHours := 2600.0
 	if math.Abs(life.Hours()-wantHours) > 1 {
@@ -253,7 +297,7 @@ func TestBatteryDepletion(t *testing.T) {
 	if b.Depleted() {
 		t.Fatal("fresh battery depleted")
 	}
-	b.Drain(2, time.Hour)
+	b.ConsumeFraction(2)
 	if !b.Depleted() {
 		t.Fatal("over-drained battery not depleted")
 	}
