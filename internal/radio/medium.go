@@ -281,7 +281,7 @@ func (m *Medium) airTime(bytes int) time.Duration {
 // frame completes; done is bound to the record once, at allocation.
 type transmission struct {
 	pkt   Packet
-	buf   []byte // the medium's copy of the payload
+	buf   []byte // the medium's copy of the payload, lent to every receiver
 	from  *Radio
 	start time.Duration
 	end   time.Duration
@@ -398,7 +398,7 @@ func (m *Medium) deliverTo(tx *transmission, p *peer) {
 	m.stats.Delivered++
 	r.received++
 	if r.handler != nil {
-		r.handler(tx.pkt.Clone())
+		r.handler(tx.pkt)
 	}
 }
 

@@ -31,7 +31,10 @@ type Kind uint8
 
 // Packet is a link-layer frame. Src/Dst are end-to-end addresses; Hop is
 // the link-layer next hop chosen by the routing layer (Broadcast means
-// every listener delivers the frame).
+// every listener delivers the frame). A received packet's Payload is the
+// medium's buffer for the transmission, shared by every receiver and
+// reused once delivery ends: read it, do not modify it, and copy what
+// must outlive the handler call.
 type Packet struct {
 	Src     NodeID
 	Dst     NodeID
@@ -47,14 +50,3 @@ const Overhead = 17
 
 // AirBytes returns the number of bytes the frame occupies on air.
 func (p *Packet) AirBytes() int { return Overhead + len(p.Payload) }
-
-// Clone returns a deep copy of the packet (the payload is copied so
-// receivers can never alias the sender's buffer).
-func (p *Packet) Clone() Packet {
-	c := *p
-	if p.Payload != nil {
-		c.Payload = make([]byte, len(p.Payload))
-		copy(c.Payload, p.Payload)
-	}
-	return c
-}

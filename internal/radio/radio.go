@@ -53,8 +53,10 @@ func (r *Radio) Drops(reason DropReason) int {
 	return r.drops[reason]
 }
 
-// SetHandler installs the receive callback. The packet passed to the
-// handler is a private copy.
+// SetHandler installs the receive callback. Every receiver of a
+// transmission is handed the same read-only payload, valid only during
+// the handler call: the medium reuses the buffer for a later frame, so a
+// handler copies whatever it keeps.
 func (r *Radio) SetHandler(fn func(Packet)) { r.handler = fn }
 
 // SetDriftPPM sets the local oscillator drift in parts per million.

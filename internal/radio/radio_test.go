@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -59,14 +60,16 @@ func TestPayloadIsCopied(t *testing.T) {
 	a := attach(t, m, 1, Position{0, 0})
 	b := attach(t, m, 2, Position{5, 0})
 	buf := []byte("mutable")
-	var got Packet
-	b.SetHandler(func(p Packet) { got = p })
+	var got []byte
+	b.SetHandler(func(p Packet) { got = bytes.Clone(p.Payload) })
 	b.SetState(StateRX)
-	eng.At(0, func() { _, _ = a.Send(Packet{Dst: 2, Payload: buf}) })
+	eng.At(0, func() {
+		_, _ = a.Send(Packet{Dst: 2, Payload: buf})
+		buf[0] = 'X' // the sender reuses its buffer while the frame is on air
+	})
 	eng.Run()
-	buf[0] = 'X'
-	if string(got.Payload) != "mutable" {
-		t.Fatal("receiver payload aliases sender buffer")
+	if string(got) != "mutable" {
+		t.Fatalf("receiver got %q: payload aliases sender buffer", got)
 	}
 }
 

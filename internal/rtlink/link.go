@@ -1,6 +1,7 @@
 package rtlink
 
 import (
+	"bytes"
 	"fmt"
 
 	"evm/internal/radio"
@@ -58,7 +59,9 @@ func (l *Link) Stats() LinkStats { return l.stats }
 // QueueLen returns the number of fragments waiting for slots.
 func (l *Link) QueueLen() int { return len(l.txq) }
 
-// SetHandler installs the message delivery callback.
+// SetHandler installs the message delivery callback. A single-fragment
+// message's payload is the radio's shared receive buffer, valid only
+// during the call: handlers copy whatever they keep.
 func (l *Link) SetHandler(fn func(Message)) { l.handler = fn }
 
 // SetRoute installs dst -> nextHop for multi-hop forwarding.
@@ -146,8 +149,10 @@ func (l *Link) onFrame(pkt radio.Packet) {
 	}
 	l.stats.FragsReceived++
 	if f.dst != l.ID() && f.dst != radio.Broadcast {
-		// Relay toward the destination if a route exists.
+		// Relay toward the destination if a route exists. The queued
+		// fragment outlives this frame, so it keeps its own chunk.
 		if _, ok := l.routes[f.dst]; ok {
+			f.chunk = bytes.Clone(f.chunk)
 			l.txq = append(l.txq, f)
 			l.stats.FragsRelayed++
 		}

@@ -10,6 +10,7 @@
 package rtlink
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -61,8 +62,8 @@ func (f *fragment) appendEncoded(dst []byte) []byte {
 	return append(dst, f.chunk...)
 }
 
-// decodeFragment parses a frame. The chunk aliases b: the radio hands
-// every receiver a private copy, so there is nothing to copy again.
+// decodeFragment parses a frame. The chunk aliases b, the radio's shared
+// receive buffer: whoever keeps the chunk past the frame copies it.
 func decodeFragment(b []byte) (fragment, error) {
 	if len(b) < fragHeaderLen {
 		return fragment{}, errShortFrame
@@ -142,7 +143,9 @@ func newReassembler() *reassembler {
 	return &reassembler{partial: make(map[reasmKey]*reasmState)}
 }
 
-// add returns the completed message when the final fragment arrives.
+// add returns the completed message when the final fragment arrives. A
+// single-fragment message aliases the fragment's chunk; a reassembled one
+// owns its payload.
 func (r *reassembler) add(f fragment) (Message, bool) {
 	if f.total <= 1 {
 		return Message{Src: f.src, Dst: f.dst, Kind: f.kind, Payload: f.chunk}, true
@@ -154,7 +157,8 @@ func (r *reassembler) add(f fragment) (Message, bool) {
 		r.partial[key] = st
 	}
 	if int(f.idx) < len(st.chunks) && st.chunks[f.idx] == nil {
-		st.chunks[f.idx] = f.chunk
+		// Held across frames, so copied out of the receive buffer.
+		st.chunks[f.idx] = bytes.Clone(f.chunk)
 		st.have++
 	}
 	if st.have < int(st.total) {
