@@ -66,3 +66,62 @@ func TestOnHealthAllocs(t *testing.T) {
 		t.Fatalf("healthy primary frames raised %d fault reports", got)
 	}
 }
+
+// sensorFrame returns the gateway's sensor snapshot for the rig's port 0,
+// preceded by a reading on another port and a stale reading on port 0 that
+// the later one overrides.
+func sensorFrame(tb testing.TB, value float64) rtlink.Message {
+	tb.Helper()
+	payload, err := wire.EncodeSensors([]wire.SensorReading{{Port: 0, Value: -1}, {Port: 3, Value: 7}, {Port: 0, Value: value}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rtlink.Message{Src: gwID, Dst: radio.Broadcast, Kind: wire.KindSensor, Payload: payload}
+}
+
+func BenchmarkOnSensor(b *testing.B) {
+	r := newRig(b, defaultCfg())
+	r.run(b, 5*time.Second)
+	msg := sensorFrame(b, 50)
+	n := r.nodes[ctrlB]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.onSensor(msg)
+	}
+}
+
+// TestOnSensorAllocs pins a control cycle on a backup replica at one
+// allocation: the health frame it broadcasts. Decoding the snapshot and
+// finding the replica's reading allocate nothing.
+func TestOnSensorAllocs(t *testing.T) {
+	r := newRig(t, defaultCfg())
+	r.run(t, 5*time.Second)
+	msg := sensorFrame(t, 50)
+	n := r.nodes[ctrlB]
+	if n.Role("lts") != wire.RoleBackup {
+		t.Fatalf("ctrlB role %v, want backup", n.Role("lts"))
+	}
+	n.onSensor(msg)
+	if got := testing.AllocsPerRun(100, func() { n.onSensor(msg) }); got != 1 {
+		t.Fatalf("allocs per onSensor = %v, want 1", got)
+	}
+}
+
+// TestReadingOnLastWins keeps the rule of the port map onSensor used to
+// build: a repeated port reads as its last reading.
+func TestReadingOnLastWins(t *testing.T) {
+	rs := []wire.SensorReading{{Port: 0, Value: -1}, {Port: 3, Value: 7}, {Port: 0, Value: 50}}
+	for _, c := range []struct {
+		port uint8
+		want float64
+		ok   bool
+	}{{0, 50, true}, {3, 7, true}, {1, 0, false}} {
+		if got, ok := readingOn(rs, c.port); got != c.want || ok != c.ok {
+			t.Errorf("readingOn(port %d) = %v, %v; want %v, %v", c.port, got, ok, c.want, c.ok)
+		}
+	}
+	if _, ok := readingOn(nil, 0); ok {
+		t.Error("readingOn(nil) found a reading")
+	}
+}

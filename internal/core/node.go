@@ -97,9 +97,10 @@ type Node struct {
 	lastSensorAt time.Duration
 
 	// healthRecs is sendHealthBundle's reusable record buffer, healthIn
-	// onHealth's decoder.
+	// onHealth's decoder and sensorIn onSensor's.
 	healthRecs []wire.HealthRecord
 	healthIn   wire.HealthDecoder
+	sensorIn   wire.SnapshotDecoder
 }
 
 // SetMigrationSink registers the facade-level migration observer.
@@ -309,16 +310,12 @@ func (n *Node) onMessage(msg rtlink.Message) {
 
 // onSensor runs one control cycle for every replica fed by the snapshot.
 func (n *Node) onSensor(msg rtlink.Message) {
-	snap, err := wire.DecodeSnapshot(msg.Payload)
+	snap, err := n.sensorIn.Decode(msg.Payload)
 	if err != nil {
 		return
 	}
 	n.lastSensorAt = n.eng.Now()
 	n.applyPendingMode()
-	byPort := make(map[uint8]float64, len(snap.Readings))
-	for _, rd := range snap.Readings {
-		byPort[rd.Port] = rd.Value
-	}
 	ran := false
 	for _, r := range n.sorted {
 		if !r.enabled {
@@ -327,7 +324,7 @@ func (n *Node) onSensor(msg rtlink.Message) {
 		if r.role != wire.RoleActive && r.role != wire.RoleBackup {
 			continue
 		}
-		input, ok := byPort[r.spec.SensorPort]
+		input, ok := readingOn(snap.Readings, r.spec.SensorPort)
 		if !ok {
 			continue
 		}
@@ -342,6 +339,17 @@ func (n *Node) onSensor(msg rtlink.Message) {
 	if ran {
 		n.sendHealthBundle()
 	}
+}
+
+// readingOn returns the value read on port. When the port repeats, the
+// last reading wins.
+func readingOn(readings []wire.SensorReading, port uint8) (float64, bool) {
+	for i := len(readings) - 1; i >= 0; i-- {
+		if readings[i].Port == port {
+			return readings[i].Value, true
+		}
+	}
+	return 0, false
 }
 
 func (n *Node) runCycle(r *replica, input float64) {

@@ -83,3 +83,44 @@ func TestHealthDecoderReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotDecoderReuse: a reused decoder returns each frame's own
+// readings, decodes without allocating once its slice is large enough,
+// and DecodeSnapshot (a fresh decoder per call) agrees with it.
+func TestSnapshotDecoderReuse(t *testing.T) {
+	frames := []SensorSnapshot{
+		{At: 5, Readings: []SensorReading{{Port: 1, Value: 2}, {Port: 4, Value: -3.5}}},
+		{At: 0, Readings: []SensorReading{{Port: 9, Value: 1}}},
+		{At: 7},
+	}
+	var d SnapshotDecoder
+	for _, want := range frames {
+		b, err := want.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.Decode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := DecodeSnapshot(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.At != want.At || len(got.Readings) != len(want.Readings) || len(ref.Readings) != len(want.Readings) || ref.At != want.At {
+			t.Fatalf("decoded %+v and %+v, want %+v", *got, ref, want)
+		}
+		for i := range want.Readings {
+			if got.Readings[i] != want.Readings[i] || ref.Readings[i] != want.Readings[i] {
+				t.Fatalf("reading %d = %+v / %+v, want %+v", i, got.Readings[i], ref.Readings[i], want.Readings[i])
+			}
+		}
+	}
+	b, _ := frames[0].Encode()
+	if got := testing.AllocsPerRun(100, func() { _, _ = d.Decode(b) }); got != 0 {
+		t.Fatalf("allocs per snapshot decode = %v, want 0", got)
+	}
+	if _, err := d.Decode(b[:3]); err == nil {
+		t.Fatal("truncated snapshot decoded")
+	}
+}

@@ -226,8 +226,22 @@ func EncodeSensors(readings []SensorReading) ([]byte, error) {
 
 // DecodeSnapshot unpacks a sensor snapshot.
 func DecodeSnapshot(b []byte) (SensorSnapshot, error) {
+	var d SnapshotDecoder
+	s, err := d.Decode(b)
+	return *s, err
+}
+
+// SnapshotDecoder decodes a stream of sensor snapshots into one reused
+// SensorSnapshot, so a receiver decoding steady traffic allocates nothing.
+type SnapshotDecoder struct {
+	s SensorSnapshot
+}
+
+// Decode unpacks b. The returned snapshot is overwritten by the next call.
+func (d *SnapshotDecoder) Decode(b []byte) (*SensorSnapshot, error) {
+	s := &d.s
+	s.At, s.Readings = 0, s.Readings[:0]
 	r := reader{buf: b}
-	var s SensorSnapshot
 	at, err := r.u64()
 	if err != nil {
 		return s, err
@@ -237,7 +251,9 @@ func DecodeSnapshot(b []byte) (SensorSnapshot, error) {
 	if err != nil {
 		return s, err
 	}
-	s.Readings = make([]SensorReading, 0, n)
+	if s.Readings == nil || cap(s.Readings) < int(n) {
+		s.Readings = make([]SensorReading, 0, n) // never nil once the count is read
+	}
 	for i := 0; i < int(n); i++ {
 		port, err := r.u8()
 		if err != nil {
