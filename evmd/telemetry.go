@@ -60,19 +60,21 @@ func sampleSeries(ev evm.Event) string {
 	return evm.SeriesName(ev)
 }
 
-// stream is one run's append-only observation log: event records for
-// streaming subscribers, plus the final metrics once the run ends.
-// Telemetry samples are derived from those two on demand rather than
-// stored, so a finished run kept for replay holds each event once.
-// Writers (the run's worker goroutine) append under mu; readers follow
-// the log by index and block on cond until more arrives or the stream
-// closes. Late subscribers replay from the start — runs are deterministic
-// and bounded, so replay-from-zero is both cheap and the property the
-// determinism tests lean on.
+// stream is one run's append-only observation log: the typed bus events
+// for streaming subscribers, plus the final metrics once the run ends.
+// Event records and telemetry samples are derived from those on read
+// rather than stored, so a finished run kept for replay holds each event
+// once, as the immutable value the bus published. Writers (the run's
+// worker goroutine) append under mu; readers follow the log by index and
+// block on cond until more arrives or the stream closes, and format
+// outside the lock so they never stall the simulation. Late subscribers
+// replay from the start — runs are deterministic and bounded, so
+// replay-from-zero is both cheap and the property the determinism tests
+// lean on.
 type stream struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	events  []EventRecord
+	events  []evm.Event
 	metrics map[string]float64 // the run's final metrics, shared with Run
 	horizon float64            // virtual seconds at finalize
 	closed  bool
@@ -84,22 +86,32 @@ func newStream() *stream {
 	return s
 }
 
-// observe appends one bus event as a stream record. It runs synchronously
-// on the simulation goroutine, so ordering is the bus's deterministic
-// publication order.
-func (s *stream) observe(ev evm.Event) {
-	cell := ""
+// cellOf returns the cell a campus event is attributed to ("" for
+// single-cell runs).
+func cellOf(ev evm.Event) string {
 	if ce, ok := ev.(evm.CellEvent); ok {
-		cell = ce.Cell
+		return ce.Cell
 	}
-	rec := EventRecord{
+	return ""
+}
+
+// record renders one bus event as its stream line.
+func record(ev evm.Event) EventRecord {
+	return EventRecord{
 		T:      ev.When().Seconds(),
-		Cell:   cell,
+		Cell:   cellOf(ev),
 		Series: sampleSeries(ev),
 		Event:  ev.String(),
 	}
+}
+
+// observe appends one bus event to the log. It runs synchronously on the
+// simulation goroutine, so ordering is the bus's deterministic publication
+// order. Bus events are values whose slices are never written after
+// publication, so the log keeps them as they are.
+func (s *stream) observe(ev evm.Event) {
 	s.mu.Lock()
-	s.events = append(s.events, rec)
+	s.events = append(s.events, ev)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -114,10 +126,15 @@ func (s *stream) finalize(now time.Duration, metrics map[string]float64) {
 	s.mu.Unlock()
 }
 
-// close ends the stream; blocked readers drain and return. Idempotent.
+// close ends the stream; blocked readers drain and return. The log is
+// copied to its exact length, since a closed run may be kept for replay
+// long after. Idempotent.
 func (s *stream) close() {
 	s.mu.Lock()
-	s.closed = true
+	if !s.closed {
+		s.events = append(make([]evm.Event, 0, len(s.events)), s.events...)
+		s.closed = true
+	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -128,16 +145,16 @@ func (s *stream) close() {
 // it with a goroutine that broadcasts on context cancellation.
 func (s *stream) next(i int, cancelled func() bool) (EventRecord, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if i < len(s.events) {
-			return s.events[i], true
-		}
+	for i >= len(s.events) {
 		if s.closed || (cancelled != nil && cancelled()) {
+			s.mu.Unlock()
 			return EventRecord{}, false
 		}
 		s.cond.Wait()
 	}
+	ev := s.events[i]
+	s.mu.Unlock()
+	return record(ev), true
 }
 
 // wake re-broadcasts the stream condition (used to unblock readers when
@@ -155,11 +172,23 @@ func (s *stream) lens() (events, samples int) {
 	return len(s.events), len(s.events) + len(s.metrics)
 }
 
-// snapshotEvents copies the event records seen so far.
-func (s *stream) snapshotEvents() []EventRecord {
+// logged returns the events seen so far. The result shares the log's
+// storage: appends land past its length and close copies, so it is never
+// written again.
+func (s *stream) logged() []evm.Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]EventRecord(nil), s.events...)
+	return s.events[:len(s.events):len(s.events)]
+}
+
+// snapshotEvents renders the event records seen so far.
+func (s *stream) snapshotEvents() []EventRecord {
+	events := s.logged()
+	out := make([]EventRecord, len(events))
+	for i, ev := range events {
+		out[i] = record(ev)
+	}
+	return out
 }
 
 // samples derives the run's flat telemetry so far: one cumulative
@@ -171,17 +200,18 @@ func (s *stream) samples(run *Run) []Sample {
 	s.mu.Unlock()
 	out := make([]Sample, 0, len(events)+len(metrics))
 	counts := make(map[string]float64)
-	for _, rec := range events {
-		key := rec.Cell + "|" + rec.Series
+	for _, ev := range events {
+		cell, series := cellOf(ev), sampleSeries(ev)
+		key := cell + "|" + series
 		counts[key]++
 		out = append(out, Sample{
-			T:        rec.T,
+			T:        ev.When().Seconds(),
 			Run:      run.ID,
 			Tenant:   run.Tenant,
 			Scenario: run.Spec.Scenario,
 			Seed:     run.Spec.Seed,
-			Cell:     rec.Cell,
-			Series:   rec.Series,
+			Cell:     cell,
+			Series:   series,
 			Value:    counts[key],
 		})
 	}
