@@ -17,19 +17,22 @@ var headlineRuns = []struct {
 	run  func() (uint64, error)
 	// events is the exact number of engine dispatches the run fires.
 	events uint64
+	// allocs caps the run's heap allocations: the measured count plus
+	// 1%, since allocation counts wobble by a few between runs.
+	allocs float64
 }{
 	{"fig6-failover", func() (uint64, error) {
 		_, n, err := runFig6(1)
 		return n, err
-	}, 157065},
+	}, 157065, 126707},
 	{"ring-sever-recovery", func() (uint64, error) {
 		res, n := runCounted(RunSpec{Scenario: ScenarioRefineryRingSever, Seed: 1, Horizon: 40 * time.Second})
 		return n, res.Err
-	}, 89436},
+	}, 89436, 23489},
 	{"campus-rollout", func() (uint64, error) {
 		res, n := runCounted(RunSpec{Scenario: ScenarioOTACampus, Seed: 1, Horizon: 30 * time.Second})
 		return n, res.Err
-	}, 34430},
+	}, 34430, 10977},
 }
 
 // TestHeadlineDispatchCounts pins the engine's events/op on the headline
@@ -44,6 +47,21 @@ func TestHeadlineDispatchCounts(t *testing.T) {
 		}
 		if got != c.events {
 			t.Errorf("%s: events/op = %d, want %d", c.name, got, c.events)
+		}
+	}
+}
+
+// TestHeadlineAllocCeilings keeps per-delivery copies and per-slot
+// scheduling garbage from silently returning to the headline runs.
+func TestHeadlineAllocCeilings(t *testing.T) {
+	for _, c := range headlineRuns {
+		var err error
+		got := testing.AllocsPerRun(1, func() { _, err = c.run() })
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got > c.allocs {
+			t.Errorf("%s: %v allocs per run, ceiling %v", c.name, got, c.allocs)
 		}
 	}
 }
