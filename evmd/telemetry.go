@@ -172,18 +172,13 @@ func (s *stream) lens() (events, samples int) {
 	return len(s.events), len(s.events) + len(s.metrics)
 }
 
-// logged returns the events seen so far. The result shares the log's
-// storage: appends land past its length and close copies, so it is never
-// written again.
-func (s *stream) logged() []evm.Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.events[:len(s.events):len(s.events)]
-}
-
-// snapshotEvents renders the event records seen so far.
+// snapshotEvents renders the event records seen so far. The slice taken
+// under the lock shares the log's storage, which appends only extend and
+// close replaces, so it is formatted after unlocking.
 func (s *stream) snapshotEvents() []EventRecord {
-	events := s.logged()
+	s.mu.Lock()
+	events := s.events[:len(s.events):len(s.events)]
+	s.mu.Unlock()
 	out := make([]EventRecord, len(events))
 	for i, ev := range events {
 		out[i] = record(ev)

@@ -154,18 +154,21 @@ func TestLaneEqualKeysAcrossLanes(t *testing.T) {
 }
 
 // TestLaneAppendAfterDrain: once a lane's events have fired, the next
-// append only has to respect the clock, not the fired tail.
+// append only has to respect the clock, not the fired tail, and a time in
+// the past clamps to now as on the heap.
 func TestLaneAppendAfterDrain(t *testing.T) {
 	e := New()
 	l := e.NewLane()
-	fired := 0
-	l.AtPrio(time.Millisecond, 1, func() { fired++ })
-	e.At(2*time.Millisecond, func() {})
+	var at []time.Duration
+	record := func() { at = append(at, e.Now()) }
+	l.AtPrio(time.Millisecond, 1, record)
+	e.At(2*time.Millisecond, record)
 	_ = e.RunUntil(time.Millisecond + 1)
-	l.AtPrio(time.Millisecond+1, -1, func() { fired++ })
+	l.AtPrio(0, -1, record)
 	e.Run()
-	if fired != 2 || e.Now() != 2*time.Millisecond {
-		t.Fatalf("fired %d, now %v; want 2 at 2ms", fired, e.Now())
+	want := []time.Duration{time.Millisecond, time.Millisecond + 1, 2 * time.Millisecond}
+	if len(at) != len(want) || at[0] != want[0] || at[1] != want[1] || at[2] != want[2] {
+		t.Fatalf("fired at %v, want %v", at, want)
 	}
 }
 
