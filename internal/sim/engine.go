@@ -63,8 +63,6 @@ func (h Event) Canceled() bool {
 	return h.ev != nil && h.ev.gen == h.gen && h.ev.canceled
 }
 
-func less(a, b *event) bool { return a.key.less(b.key) }
-
 // Engine is a single-threaded discrete-event scheduler over virtual time.
 // The zero value is not usable; construct with New.
 type Engine struct {
@@ -266,7 +264,7 @@ func (e *Engine) up(j int) {
 	q := e.queue
 	for j > 0 {
 		i := (j - 1) / 2
-		if !less(q[j], q[i]) {
+		if !q[j].less(q[i].key) {
 			break
 		}
 		q[i], q[j] = q[j], q[i]
@@ -287,10 +285,10 @@ func (e *Engine) down(i0, n int) bool {
 			break
 		}
 		j := l
-		if r := l + 1; r < n && less(q[r], q[l]) {
+		if r := l + 1; r < n && q[r].less(q[l].key) {
 			j = r
 		}
-		if !less(q[j], q[i]) {
+		if !q[j].less(q[i].key) {
 			break
 		}
 		q[i], q[j] = q[j], q[i]
