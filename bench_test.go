@@ -1,8 +1,13 @@
 // Benchmarks regenerating every table/figure of the paper's evaluation
-// plus the quantitative claims in the text. Each benchmark maps to one of
-// the experiments E1–E10 that cmd/evmbench prints and records its
-// headline quantity with b.ReportMetric, so `go test -bench` output
-// doubles as the results table.
+// plus the quantitative claims in the text. Each experiment E1–E10 is
+// defined once, here, and records its quantities with b.ReportMetric, so
+// the `go test -bench` output is the results table:
+//
+//	go test -run '^$' -bench 'FailoverLatency|MACLifetime|SyncJitter|ControlCycle|MigrationCost|Degradation|Admission|Attestation' .
+//	go test -bench . ./internal/bqp   # E7, the assignment solvers
+//
+// Fig. 6 at the paper's own pacing (fault at 300 s, 1000 s horizon) is
+// the default run of examples/gasplant.
 package evm
 
 import (
@@ -10,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"evm/internal/bqp"
 	"evm/internal/core"
 	"evm/internal/mac"
 	"evm/internal/radio"
@@ -74,41 +78,66 @@ func runCounted(spec RunSpec) (RunResult, uint64) {
 // --- E2: fail-over latency distribution vs packet loss ----------------------
 
 func BenchmarkFailoverLatency(b *testing.B) {
-	for _, per := range []float64{0, 0.1, 0.3} {
-		per := per
+	for _, per := range []float64{0, 0.1, 0.2, 0.3} {
 		b.Run(fmt.Sprintf("per=%.1f", per), func(b *testing.B) {
-			var total time.Duration
-			count := 0
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultGasPlantConfig()
-				cfg.Seed = uint64(i + 1)
-				cfg.PER = per
-				cfg.DeviationWindow = 8
-				s, err := NewGasPlant(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s.Run(30 * time.Second)
-				faultAt := s.Cell.Now()
-				var failAt time.Duration
-				s.Cell.Events().Subscribe(func(ev Event) {
-					if _, ok := ev.(FailoverEvent); ok && failAt == 0 {
-						failAt = s.Cell.Now()
-					}
-				})
-				s.InjectPrimaryFault()
-				s.Run(60 * time.Second)
-				if failAt > 0 {
-					total += failAt - faultAt
-					count++
-				}
+			meanSec, ok, falsePos := failoverTrials(b, per, false)
+			if ok > 0 {
+				b.ReportMetric(meanSec, "failover-sec")
 			}
-			if count > 0 {
-				b.ReportMetric(total.Seconds()/float64(count), "failover-sec")
-				b.ReportMetric(float64(count)/float64(b.N), "success-ratio")
+			if falsePos < b.N {
+				b.ReportMetric(float64(ok)/float64(b.N-falsePos), "success-ratio")
 			}
+			b.ReportMetric(float64(falsePos)/float64(b.N), "false-positive-ratio")
 		})
 	}
+}
+
+// failoverTrials runs failoverTrial for seeds 1..b.N. It returns the
+// mean latency over the ok trials that failed over after the fault and
+// counts the falsePos trials that failed over before it.
+func failoverTrials(b *testing.B, per float64, crash bool) (meanSec float64, ok, falsePos int) {
+	var total time.Duration
+	for i := 0; i < b.N; i++ {
+		switch latency, early := failoverTrial(b, uint64(i+1), per, crash); {
+		case early:
+			falsePos++
+		case latency > 0:
+			total += latency
+			ok++
+		}
+	}
+	if ok > 0 {
+		meanSec = total.Seconds() / float64(ok)
+	}
+	return meanSec, ok, falsePos
+}
+
+// failoverTrial runs the gas plant at packet error rate per for 30 s,
+// faults the primary (a silent crash, or the Fig. 6 wrong output) and
+// runs 60 s more. It returns the GasPlant.LTSFailover latency, 0 if the
+// LTS task never failed over, or falsePositive if it failed over before
+// the fault.
+func failoverTrial(tb testing.TB, seed uint64, per float64, crash bool) (latency time.Duration, falsePositive bool) {
+	cfg := DefaultGasPlantConfig()
+	cfg.Seed = seed
+	cfg.PER = per
+	s, err := NewGasPlant(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s.Run(30 * time.Second)
+	faultAt := s.Cell.Now()
+	if crash {
+		s.CrashPrimary()
+	} else {
+		s.InjectPrimaryFault()
+	}
+	s.Run(60 * time.Second)
+	at, early := s.LTSFailover(faultAt)
+	if early || at == 0 {
+		return 0, early
+	}
+	return at - faultAt, false
 }
 
 // --- E3: MAC lifetime comparison (RT-Link vs B-MAC vs S-MAC) ----------------
@@ -116,39 +145,44 @@ func BenchmarkFailoverLatency(b *testing.B) {
 func BenchmarkMACLifetime(b *testing.B) {
 	p := mac.DefaultParams()
 	p.EventRateHz = 0.1
-	var rtYears, bmYears, smYears float64
-	for i := 0; i < b.N; i++ {
-		rtCfg, err := mac.RTLinkForDutyCycle(0.05)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rt, err := mac.RTLink(p, rtCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bCfg, err := mac.BMACForDutyCycle(0.05)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bm, err := mac.BMAC(p, bCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sCfg, err := mac.SMACForDutyCycle(0.05)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sm, err := mac.SMAC(p, sCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rtYears = rt.Lifetime.Hours() / 8760
-		bmYears = bm.Lifetime.Hours() / 8760
-		smYears = sm.Lifetime.Hours() / 8760
+	for _, pct := range []int{1, 2, 5, 10, 25} {
+		duty := float64(pct) / 100
+		b.Run(fmt.Sprintf("duty=%d%%", pct), func(b *testing.B) {
+			var rtYears, bmYears, smYears float64
+			for i := 0; i < b.N; i++ {
+				rtCfg, err := mac.RTLinkForDutyCycle(duty)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rt, err := mac.RTLink(p, rtCfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bCfg, err := mac.BMACForDutyCycle(duty)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bm, err := mac.BMAC(p, bCfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sCfg, err := mac.SMACForDutyCycle(duty)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sm, err := mac.SMAC(p, sCfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rtYears = rt.Lifetime.Hours() / 8760
+				bmYears = bm.Lifetime.Hours() / 8760
+				smYears = sm.Lifetime.Hours() / 8760
+			}
+			b.ReportMetric(rtYears, "rtlink-years")
+			b.ReportMetric(bmYears, "bmac-years")
+			b.ReportMetric(smYears, "smac-years")
+		})
 	}
-	b.ReportMetric(rtYears, "rtlink-years")
-	b.ReportMetric(bmYears, "bmac-years")
-	b.ReportMetric(smYears, "smac-years")
 }
 
 // --- E4: AM time-sync jitter -------------------------------------------------
@@ -169,6 +203,8 @@ func BenchmarkSyncJitter(b *testing.B) {
 		}
 	}
 	st := trace.Summarize(jitters)
+	b.ReportMetric(st.Mean, "mean-jitter-us")
+	b.ReportMetric(st.P95, "p95-jitter-us")
 	b.ReportMetric(st.P99, "p99-jitter-us")
 	b.ReportMetric(st.Max, "max-jitter-us")
 }
@@ -176,22 +212,21 @@ func BenchmarkSyncJitter(b *testing.B) {
 // --- E5: control cycle latency -------------------------------------------------
 
 func BenchmarkControlCycle(b *testing.B) {
-	var maxFrac float64
+	cfg := DefaultGasPlantConfig()
+	var lats []time.Duration
 	for i := 0; i < b.N; i++ {
-		cfg := DefaultGasPlantConfig()
 		cfg.Seed = uint64(i + 1)
 		s, err := NewGasPlant(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		s.Run(60 * time.Second)
-		for _, l := range s.ActuationLatencies() {
-			if f := l.Seconds() / cfg.ControlPeriod.Seconds(); f > maxFrac {
-				maxFrac = f
-			}
-		}
+		lats = append(lats, s.ActuationLatencies()...)
 	}
-	b.ReportMetric(maxFrac, "max-latency-cycle-frac")
+	st := trace.DurationStats(lats)
+	b.ReportMetric(st.Max/float64(cfg.ControlPeriod), "max-latency-cycle-frac")
+	b.ReportMetric(st.Mean/1e6, "mean-latency-ms")
+	b.ReportMetric(st.P99/1e6, "p99-latency-ms")
 }
 
 // --- E6: migration cost vs state size -----------------------------------------
@@ -252,65 +287,6 @@ func BenchmarkMigrationCost(b *testing.B) {
 			b.ReportMetric(totalSec/float64(b.N), "migration-sec")
 		})
 	}
-}
-
-// --- E7: BQP assignment quality and effort --------------------------------------
-
-func BenchmarkBQPAssign(b *testing.B) {
-	sizes := []struct{ tasks, nodes int }{{4, 3}, {8, 4}, {16, 8}}
-	for _, sz := range sizes {
-		sz := sz
-		b.Run(fmt.Sprintf("t%dxn%d", sz.tasks, sz.nodes), func(b *testing.B) {
-			rng := sim.NewRNG(99)
-			var annealCost, greedyCost float64
-			for i := 0; i < b.N; i++ {
-				p := randomAssignProblem(rng, sz.tasks, sz.nodes)
-				g, err := bqp.SolveGreedy(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				a, err := bqp.SolveAnneal(p, rng.Fork(), 20_000)
-				if err != nil {
-					b.Fatal(err)
-				}
-				annealCost += a.Cost
-				greedyCost += g.Cost
-			}
-			if annealCost > 0 {
-				b.ReportMetric(greedyCost/annealCost, "greedy-vs-anneal-cost")
-			}
-		})
-	}
-}
-
-func randomAssignProblem(rng *sim.RNG, tasks, nodes int) *bqp.Problem {
-	p := &bqp.Problem{
-		Cost: make([][]float64, tasks),
-		Pair: make([][]float64, tasks),
-		Util: make([]float64, tasks),
-		Cap:  make([]float64, nodes),
-	}
-	for t := 0; t < tasks; t++ {
-		p.Cost[t] = make([]float64, nodes)
-		p.Pair[t] = make([]float64, tasks)
-		for n := 0; n < nodes; n++ {
-			p.Cost[t][n] = rng.Float64() * 10
-		}
-		p.Util[t] = 0.05 + rng.Float64()*0.1
-	}
-	for t := 0; t < tasks; t++ {
-		for u := t + 1; u < tasks; u++ {
-			if rng.Bool(0.3) {
-				v := rng.Float64() * 5
-				p.Pair[t][u] = v
-				p.Pair[u][t] = v
-			}
-		}
-	}
-	for n := 0; n < nodes; n++ {
-		p.Cap[n] = 1
-	}
-	return p
 }
 
 // --- E8: graceful degradation vs failures -----------------------------------
@@ -382,24 +358,22 @@ func degradationRun(b *testing.B, seed uint64, kills int, reorganize bool) float
 // --- E9: admission acceptance vs offered utilization ---------------------------
 
 func BenchmarkAdmission(b *testing.B) {
-	rng := sim.NewRNG(5)
-	for _, util := range []float64{0.5, 0.7, 0.9} {
-		util := util
+	for _, pct := range []int{30, 50, 70, 80, 90, 100} {
+		util := float64(pct) / 100
 		b.Run(fmt.Sprintf("u=%.1f", util), func(b *testing.B) {
+			rng := sim.NewRNG(uint64(pct))
 			var ubAccept, rtaAccept int
-			total := 0
 			for i := 0; i < b.N; i++ {
-				ts := randomTaskSet(rng, 5, util)
-				total++
-				if rtos.Schedulable(rtos.AssignRM(ts), rtos.TestUB) {
+				ts := rtos.AssignRM(randomTaskSet(rng, 5, util))
+				if rtos.Schedulable(ts, rtos.TestUB) {
 					ubAccept++
 				}
-				if rtos.Schedulable(rtos.AssignRM(ts), rtos.TestRTA) {
+				if rtos.Schedulable(ts, rtos.TestRTA) {
 					rtaAccept++
 				}
 			}
-			b.ReportMetric(float64(ubAccept)/float64(total), "accept-ub")
-			b.ReportMetric(float64(rtaAccept)/float64(total), "accept-rta")
+			b.ReportMetric(float64(ubAccept)/float64(b.N), "accept-ub")
+			b.ReportMetric(float64(rtaAccept)/float64(b.N), "accept-rta")
 		})
 	}
 }
@@ -425,28 +399,31 @@ func randomTaskSet(rng *sim.RNG, n int, targetUtil float64) rtos.TaskSet {
 // --- E10: attestation overhead and corruption detection -------------------------
 
 func BenchmarkAttestation(b *testing.B) {
-	code := make([]byte, 1024)
-	rng := sim.NewRNG(3)
-	for i := range code {
-		code[i] = byte(rng.Intn(256))
+	for _, size := range []int{64, 1024, 16384} {
+		b.Run(fmt.Sprintf("code=%dB", size), func(b *testing.B) {
+			rng := sim.NewRNG(3)
+			code := make([]byte, size)
+			for i := range code {
+				code[i] = byte(rng.Intn(256))
+			}
+			c := vm.Capsule{TaskID: "bench", Version: 1, Code: code}
+			enc, err := c.Encode()
+			if err != nil {
+				b.Fatal(err)
+			}
+			detected := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bad := append([]byte(nil), enc...)
+				pos := 2 + rng.Intn(len(bad)-2)
+				bad[pos] ^= 1 << uint(rng.Intn(8))
+				if _, err := vm.Decode(bad); err != nil {
+					detected++
+				}
+			}
+			b.ReportMetric(float64(detected)/float64(b.N), "corruption-detect-ratio")
+		})
 	}
-	c := vm.Capsule{TaskID: "bench", Version: 1, Code: code}
-	enc, err := c.Encode()
-	if err != nil {
-		b.Fatal(err)
-	}
-	detected, trials := 0, 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bad := append([]byte(nil), enc...)
-		pos := 2 + rng.Intn(len(bad)-2)
-		bad[pos] ^= 1 << uint(rng.Intn(8))
-		if _, err := vm.Decode(bad); err != nil {
-			detected++
-		}
-		trials++
-	}
-	b.ReportMetric(float64(detected)/float64(trials), "corruption-detect-ratio")
 }
 
 // --- Ablation: detection policy (output deviation vs silence watchdog) ----------
@@ -460,39 +437,9 @@ func BenchmarkDetectionPolicy(b *testing.B) {
 		{"crash-silence", true},
 	}
 	for _, sc := range scenarios {
-		sc := sc
 		b.Run(sc.name, func(b *testing.B) {
-			var total time.Duration
-			count := 0
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultGasPlantConfig()
-				cfg.Seed = uint64(i + 1)
-				cfg.DeviationWindow = 8
-				s, err := NewGasPlant(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var failAt time.Duration
-				s.Cell.Events().Subscribe(func(ev Event) {
-					if _, ok := ev.(FailoverEvent); ok && failAt == 0 {
-						failAt = s.Cell.Now()
-					}
-				})
-				s.Run(30 * time.Second)
-				faultAt := s.Cell.Now()
-				if sc.crash {
-					s.CrashPrimary()
-				} else {
-					s.InjectPrimaryFault()
-				}
-				s.Run(60 * time.Second)
-				if failAt > 0 {
-					total += failAt - faultAt
-					count++
-				}
-			}
-			if count > 0 {
-				b.ReportMetric(total.Seconds()/float64(count), "detect+failover-sec")
+			if meanSec, ok, _ := failoverTrials(b, 0, sc.crash); ok > 0 {
+				b.ReportMetric(meanSec, "detect+failover-sec")
 			}
 		})
 	}
@@ -563,38 +510,6 @@ func BenchmarkStateSharing(b *testing.B) {
 				b.ReportMetric(totalDiff/float64(samples), "backup-divergence")
 			}
 		})
-	}
-}
-
-// --- Ablation: BQP vs greedy assignment quality (E7 companion) ------------------
-
-func BenchmarkAssignOptimalGap(b *testing.B) {
-	rng := sim.NewRNG(17)
-	var annGap, greedyGap float64
-	n := 0
-	for i := 0; i < b.N; i++ {
-		p := randomAssignProblem(rng, 5, 3)
-		opt, err := bqp.SolveExhaustive(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		g, err := bqp.SolveGreedy(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		a, err := bqp.SolveAnneal(p, rng.Fork(), 20_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if opt.Cost > 0 {
-			annGap += a.Cost / opt.Cost
-			greedyGap += g.Cost / opt.Cost
-			n++
-		}
-	}
-	if n > 0 {
-		b.ReportMetric(annGap/float64(n), "anneal-vs-optimal")
-		b.ReportMetric(greedyGap/float64(n), "greedy-vs-optimal")
 	}
 }
 

@@ -1,9 +1,12 @@
-// Command evmbench regenerates every experiment of the paper's
-// evaluation (E1–E10, one function each below) and prints paper-style
-// result rows. Run all experiments or select one:
+// Command evmbench runs the federation, placement, line-cell, ring-sever,
+// OTA-rollout and Runner-grid demos and renders the cross-PR benchmark
+// trend. The paper's experiments E1–E10 are the Benchmark functions in
+// the evm package and internal/bqp, whose reported metrics are the
+// results table. Run all demos or select one:
 //
-//	evmbench            # everything
-//	evmbench -exp e3    # only the MAC lifetime comparison
+//	evmbench             # every demo
+//	evmbench -exp sever  # only the ring-sever rebalance
+//	evmbench -trend bench
 package main
 
 import (
@@ -18,17 +21,10 @@ import (
 	"time"
 
 	"evm"
-	"evm/internal/bqp"
-	"evm/internal/mac"
-	"evm/internal/radio"
-	"evm/internal/rtos"
-	"evm/internal/sim"
-	"evm/internal/trace"
-	"evm/internal/vm"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (e1..e10, fed, policy, pipe, sever, ota, grid or all)")
+	exp := flag.String("exp", "all", "demo to run (fed, policy, pipe, sever, ota, grid or all)")
 	trend := flag.String("trend", "", "directory holding BENCH_pr*.json artifacts; print the cross-PR benchmark trend table and exit")
 	flag.StringVar(&eventDir, "events", "", "directory for per-run event CSVs from the grid sweep (empty = off)")
 	flag.Parse()
@@ -39,12 +35,10 @@ func main() {
 		return
 	}
 	experiments := map[string]func() error{
-		"e1": e1Fig6, "e2": e2Failover, "e3": e3MACLifetime, "e4": e4SyncJitter,
-		"e5": e5ControlCycle, "e6": e6Migration, "e7": e7BQP, "e8": e8Degradation,
-		"e9": e9Admission, "e10": e10Attestation, "fed": fedCampus,
-		"policy": policyCompare, "pipe": pipeLine, "sever": severDemo, "ota": otaRollouts, "grid": gridSweep,
+		"fed": fedCampus, "policy": policyCompare, "pipe": pipeLine,
+		"sever": severDemo, "ota": otaRollouts, "grid": gridSweep,
 	}
-	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "fed", "policy", "pipe", "sever", "ota", "grid"}
+	order := []string{"fed", "policy", "pipe", "sever", "ota", "grid"}
 	if *exp != "all" {
 		fn, ok := experiments[*exp]
 		if !ok {
@@ -63,409 +57,6 @@ func main() {
 	}
 }
 
-func header(id, title string) {
-	fmt.Printf("=== %s: %s ===\n", id, title)
-}
-
-// e1Fig6 reruns the Fig. 6(b) timeline at the paper's own pacing.
-func e1Fig6() error {
-	header("E1 / Fig. 6(b)", "LTS fail-over timeline (fault 300s, paper switch ~600s)")
-	cfg := evm.DefaultGasPlantConfig()
-	cfg.DeviationWindow = 1200 // ~300 s deliberation as in the paper's plot
-	s, err := evm.NewGasPlant(cfg)
-	if err != nil {
-		return err
-	}
-	res, err := s.RunFig6(300*time.Second, 1000*time.Second)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("T1 fault injected      %8.0fs   (paper: 300s)\n", res.FaultAt.Seconds())
-	fmt.Printf("T2 backup activated    %8.0fs   (paper: ~600s)\n", res.FailoverAt.Seconds())
-	fmt.Printf("LTS level before/min/end   %.1f / %.1f / %.1f %%\n",
-		res.LevelBefore, res.LevelMin, res.LevelEnd)
-	fmt.Printf("tower feed nominal/peak    %.1f / %.1f kmol/h\n", res.FlowNominal, res.FlowPeak)
-	fmt.Printf("active controller          %v (was %v)\n", s.ActiveController(), evm.GasCtrlAID)
-	return nil
-}
-
-// e2Failover sweeps packet loss and measures fail-over latency.
-func e2Failover() error {
-	header("E2", "fail-over latency vs packet loss (10 trials each)")
-	fmt.Println("  PER   mean-latency   success   false-positives")
-	for _, per := range []float64{0, 0.1, 0.2, 0.3} {
-		var total time.Duration
-		ok, falsePos := 0, 0
-		const trials = 10
-		for i := 0; i < trials; i++ {
-			cfg := evm.DefaultGasPlantConfig()
-			cfg.Seed = uint64(i + 1)
-			cfg.PER = per
-			cfg.DeviationWindow = 8
-			s, err := evm.NewGasPlant(cfg)
-			if err != nil {
-				return err
-			}
-			var failAt time.Duration
-			s.Cell.Events().Subscribe(func(ev evm.Event) {
-				if _, isFO := ev.(evm.FailoverEvent); isFO && failAt == 0 {
-					failAt = ev.When()
-				}
-			})
-			s.Run(30 * time.Second)
-			if failAt > 0 {
-				falsePos++
-				continue
-			}
-			faultAt := s.Cell.Now()
-			s.InjectPrimaryFault()
-			s.Run(120 * time.Second)
-			if failAt > 0 {
-				total += failAt - faultAt
-				ok++
-			}
-		}
-		mean := time.Duration(0)
-		if ok > 0 {
-			mean = total / time.Duration(ok)
-		}
-		fmt.Printf("  %.1f   %12v   %d/%d       %d\n", per, mean.Round(time.Millisecond), ok, trials-falsePos, falsePos)
-	}
-	return nil
-}
-
-// e3MACLifetime prints the RT-Link vs B-MAC vs S-MAC lifetime table.
-func e3MACLifetime() error {
-	header("E3", "battery lifetime vs duty cycle (years; paper: RT-Link ~1.8y @5%)")
-	p := mac.DefaultParams()
-	p.EventRateHz = 0.1
-	fmt.Println("  duty   RT-Link   B-MAC   S-MAC")
-	for _, d := range []float64{0.01, 0.02, 0.05, 0.10, 0.25} {
-		rtCfg, err := mac.RTLinkForDutyCycle(d)
-		if err != nil {
-			return err
-		}
-		rt, err := mac.RTLink(p, rtCfg)
-		if err != nil {
-			return err
-		}
-		bCfg, err := mac.BMACForDutyCycle(d)
-		if err != nil {
-			return err
-		}
-		bm, err := mac.BMAC(p, bCfg)
-		if err != nil {
-			return err
-		}
-		sCfg, err := mac.SMACForDutyCycle(d)
-		if err != nil {
-			return err
-		}
-		sm, err := mac.SMAC(p, sCfg)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %4.0f%%  %7.2f  %6.2f  %6.2f\n",
-			d*100, rt.Lifetime.Hours()/8760, bm.Lifetime.Hours()/8760, sm.Lifetime.Hours()/8760)
-	}
-	return nil
-}
-
-// e4SyncJitter measures the AM-carrier synchronization jitter.
-func e4SyncJitter() error {
-	header("E4", "AM time-sync jitter (paper: sub-150us)")
-	eng := sim.New()
-	med := radio.NewMedium(eng, sim.NewRNG(1), radio.DefaultConfig())
-	for i := 1; i <= 10; i++ {
-		if _, err := med.Attach(radio.NodeID(i), radio.Position{X: float64(i)}, nil, radio.DefaultEnergyModel()); err != nil {
-			return err
-		}
-	}
-	var us []float64
-	for k := 0; k < 10_000; k++ {
-		for _, j := range med.BroadcastSync() {
-			us = append(us, float64(j.Microseconds()))
-		}
-	}
-	st := trace.Summarize(us)
-	fmt.Printf("  pulses %d: mean %.1fus  p95 %.1fus  p99 %.1fus  max %.1fus\n",
-		st.N, st.Mean, st.P95, st.P99, st.Max)
-	return nil
-}
-
-// e5ControlCycle measures actuation latency vs the 250ms cycle.
-func e5ControlCycle() error {
-	header("E5", "control cycle latency (paper objective: <=1/3 of a <=250ms cycle)")
-	s, err := evm.NewGasPlant(evm.DefaultGasPlantConfig())
-	if err != nil {
-		return err
-	}
-	s.Run(120 * time.Second)
-	lats := s.ActuationLatencies()
-	st := trace.DurationStats(lats)
-	cycle := 250 * time.Millisecond
-	fmt.Printf("  actuations %d: mean %v  p99 %v  max %v (%.1f%% of cycle)\n",
-		st.N,
-		time.Duration(st.Mean).Round(time.Microsecond),
-		time.Duration(st.P99).Round(time.Microsecond),
-		time.Duration(st.Max).Round(time.Microsecond),
-		100*st.Max/float64(cycle))
-	return nil
-}
-
-// e6Migration measures task-migration time vs state size.
-func e6Migration() error {
-	header("E6", "task migration cost vs state size (TDMA frames)")
-	fmt.Println("  state    time      frames")
-	for _, size := range []int{64, 512, 2048, 8192} {
-		d, err := migrateOnce(size)
-		if err != nil {
-			return err
-		}
-		frames := d.Seconds() / 0.25
-		fmt.Printf("  %5dB   %8v  %6.1f\n", size, d.Round(time.Millisecond), frames)
-	}
-	return nil
-}
-
-type blobLogic struct{ state []byte }
-
-func (l *blobLogic) Step(input, dt float64) (float64, error) { return input, nil }
-func (l *blobLogic) Snapshot() ([]byte, error)               { return l.state, nil }
-func (l *blobLogic) Restore(b []byte) error {
-	l.state = append([]byte(nil), b...)
-	return nil
-}
-
-func migrateOnce(size int) (time.Duration, error) {
-	cell, err := evm.NewCellWith(evm.CellConfig{Seed: 1},
-		evm.WithNodes(1, 2, 3, 4), evm.WithPER(0))
-	if err != nil {
-		return 0, err
-	}
-	vc := evm.VCConfig{
-		Name: "mig", Head: 4, Gateway: 1,
-		Tasks: []evm.TaskSpec{{
-			ID: "t", SensorPort: 0, ActuatorPort: 1,
-			Period: 250 * time.Millisecond, WCET: 5 * time.Millisecond,
-			Candidates:   []evm.NodeID{2},
-			DeviationTol: 1, DeviationWindow: 3, SilenceWindow: 8,
-			MakeLogic: func() (evm.TaskLogic, error) {
-				return &blobLogic{state: make([]byte, size)}, nil
-			},
-		}},
-	}
-	if err := cell.Deploy(vc); err != nil {
-		return 0, err
-	}
-	cell.Run(time.Second)
-	start := cell.Now()
-	var done time.Duration
-	cell.Events().Subscribe(func(ev evm.Event) {
-		if _, isMig := ev.(evm.MigrationEvent); isMig && done == 0 {
-			done = ev.When()
-		}
-	})
-	if err := cell.Node(2).MigrateTask("t", 3); err != nil {
-		return 0, err
-	}
-	cell.Run(300 * time.Second)
-	if done == 0 {
-		return 0, fmt.Errorf("migration of %dB never completed", size)
-	}
-	return done - start, nil
-}
-
-// e7BQP compares assignment solvers.
-func e7BQP() error {
-	header("E7", "runtime task-assignment optimization (BQP anneal vs greedy vs optimal)")
-	rng := sim.NewRNG(17)
-	fmt.Println("  size      anneal/opt  greedy/opt")
-	var annGap, greedyGap float64
-	n := 0
-	for i := 0; i < 25; i++ {
-		p := randomProblem(rng, 5, 3)
-		opt, err := bqp.SolveExhaustive(p)
-		if err != nil {
-			return err
-		}
-		g, err := bqp.SolveGreedy(p)
-		if err != nil {
-			return err
-		}
-		a, err := bqp.SolveAnneal(p, rng.Fork(), 20_000)
-		if err != nil {
-			return err
-		}
-		if opt.Cost > 0 {
-			annGap += a.Cost / opt.Cost
-			greedyGap += g.Cost / opt.Cost
-			n++
-		}
-	}
-	fmt.Printf("  5tx3n     %9.3f  %9.3f   (25 random instances)\n",
-		annGap/float64(n), greedyGap/float64(n))
-	return nil
-}
-
-func randomProblem(rng *sim.RNG, tasks, nodes int) *bqp.Problem {
-	p := &bqp.Problem{
-		Cost: make([][]float64, tasks),
-		Pair: make([][]float64, tasks),
-		Util: make([]float64, tasks),
-		Cap:  make([]float64, nodes),
-	}
-	for t := 0; t < tasks; t++ {
-		p.Cost[t] = make([]float64, nodes)
-		p.Pair[t] = make([]float64, tasks)
-		for nn := 0; nn < nodes; nn++ {
-			p.Cost[t][nn] = rng.Float64() * 10
-		}
-		p.Util[t] = 0.05 + rng.Float64()*0.1
-	}
-	for nn := 0; nn < nodes; nn++ {
-		p.Cap[nn] = 1
-	}
-	return p
-}
-
-// e8Degradation compares coverage with and without EVM reorganization.
-func e8Degradation() error {
-	header("E8", "graceful degradation: task coverage vs failed nodes")
-	fmt.Println("  failures   EVM   static")
-	for _, kills := range []int{0, 1, 2, 3} {
-		withEVM, err := coverageAfterKills(kills, true)
-		if err != nil {
-			return err
-		}
-		static, err := coverageAfterKills(kills, false)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %8d   %.2f  %.2f\n", kills, withEVM, static)
-	}
-	return nil
-}
-
-func coverageAfterKills(kills int, reorganize bool) (float64, error) {
-	cell, err := evm.NewCellWith(evm.CellConfig{Seed: 1},
-		evm.WithNodeCount(6), evm.WithPER(0))
-	if err != nil {
-		return 0, err
-	}
-	vc := evm.VCConfig{
-		Name: "deg", Head: 6, Gateway: 1,
-		Tasks: []evm.TaskSpec{{
-			ID: "t", SensorPort: 0, ActuatorPort: 1,
-			Period: 250 * time.Millisecond, WCET: 5 * time.Millisecond,
-			Candidates:   []evm.NodeID{2, 3, 4, 5},
-			DeviationTol: 5, DeviationWindow: 4, SilenceWindow: 8,
-			MakeLogic: func() (evm.TaskLogic, error) {
-				return evm.NewPIDLogic(evm.PIDParams{Kp: 1, Ki: 0.1, OutMin: 0, OutMax: 100,
-					Setpoint: 50, CutoffHz: 0.4, RateHz: 4})
-			},
-		}},
-	}
-	if err := cell.Deploy(vc); err != nil {
-		return 0, err
-	}
-	feed, err := cell.StartSensorFeed(1, 250*time.Millisecond, func() []evm.SensorReading {
-		return []evm.SensorReading{{Port: 0, Value: 50}}
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer feed.Stop()
-	cell.Run(5 * time.Second)
-	if !reorganize {
-		for _, n := range cell.Nodes() {
-			n.Stop()
-		}
-	}
-	// The kill sequence is a declarative plan: one crash every 10 s.
-	steps := make([]evm.FaultStep, 0, kills)
-	for k := 0; k < kills; k++ {
-		steps = append(steps, evm.FaultStep{
-			At:        time.Duration(k) * 10 * time.Second,
-			CrashNode: evm.NodeID(2 + k),
-		})
-	}
-	if err := cell.ApplyFaultPlan(evm.FaultPlan{Name: "sequential-kills", Steps: steps}); err != nil {
-		return 0, err
-	}
-	cell.Run(time.Duration(kills) * 10 * time.Second)
-	return evm.EvaluateQoS(vc, cell.Nodes()).CoverageRatio, nil
-}
-
-// e9Admission sweeps offered utilization against both admission tests.
-func e9Admission() error {
-	header("E9", "schedulability-gated admission (acceptance ratio, 200 sets each)")
-	rng := sim.NewRNG(5)
-	fmt.Println("  offered-U   UB     RTA")
-	for _, u := range []float64{0.3, 0.5, 0.7, 0.8, 0.9, 1.0} {
-		ub, rta := 0, 0
-		const trials = 200
-		for i := 0; i < trials; i++ {
-			ts := rtos.AssignRM(randomTaskSet(rng, 5, u))
-			if rtos.Schedulable(ts, rtos.TestUB) {
-				ub++
-			}
-			if rtos.Schedulable(ts, rtos.TestRTA) {
-				rta++
-			}
-		}
-		fmt.Printf("  %9.1f   %.2f   %.2f\n", u, float64(ub)/trials, float64(rta)/trials)
-	}
-	return nil
-}
-
-func randomTaskSet(rng *sim.RNG, n int, targetUtil float64) rtos.TaskSet {
-	ts := make(rtos.TaskSet, 0, n)
-	per := targetUtil / float64(n)
-	for i := 0; i < n; i++ {
-		period := time.Duration(10+rng.Intn(200)) * time.Millisecond
-		u := per * (0.5 + rng.Float64())
-		wcet := time.Duration(float64(period) * u)
-		if wcet <= 0 {
-			wcet = time.Millisecond
-		}
-		if wcet > period {
-			wcet = period
-		}
-		ts = append(ts, rtos.Task{ID: rtos.TaskID(fmt.Sprintf("t%d", i)), Period: period, WCET: wcet})
-	}
-	return ts
-}
-
-// e10Attestation measures corruption detection on migrated capsules.
-func e10Attestation() error {
-	header("E10", "software attestation: corruption detection on capsules")
-	rng := sim.NewRNG(3)
-	for _, size := range []int{64, 1024, 16384} {
-		code := make([]byte, size)
-		for i := range code {
-			code[i] = byte(rng.Intn(256))
-		}
-		c := vm.Capsule{TaskID: "att", Version: 1, Code: code}
-		enc, err := c.Encode()
-		if err != nil {
-			return err
-		}
-		detected := 0
-		const trials = 2000
-		for i := 0; i < trials; i++ {
-			bad := append([]byte(nil), enc...)
-			pos := 2 + rng.Intn(len(bad)-2)
-			bad[pos] ^= 1 << uint(rng.Intn(8))
-			if _, err := vm.Decode(bad); err != nil {
-				detected++
-			}
-		}
-		fmt.Printf("  code %6dB: %d/%d single-bit corruptions detected\n", size, detected, trials)
-	}
-	return nil
-}
-
 // eventDir is the -events flag: per-run event CSV capture for the grid.
 var eventDir string
 
@@ -474,7 +65,7 @@ var eventDir string
 // across the backbone) plus a seeded refinery sweep under a whole-cell
 // kill plan on the parallel Runner.
 func fedCampus() error {
-	header("FED", "campus federation: whole-cell outage -> backbone escalation")
+	fmt.Println("=== FED: campus federation: whole-cell outage -> backbone escalation ===")
 	exp, err := evm.BuildScenario(evm.RunSpec{Scenario: evm.ScenarioCampusFailover, Seed: 1})
 	if err != nil {
 		return err
@@ -547,7 +138,7 @@ func fedCampus() error {
 // two-hop path and pays extra overload ticks (and backbone drops) for
 // it.
 func policyCompare() error {
-	header("POLICY", "placement policies on a lossy ring backbone (refinery, outage 10s-22s)")
+	fmt.Println("=== POLICY: placement policies on a lossy ring backbone (refinery, outage 10s-22s) ===")
 	plan := evm.RefineryOutagePlan(10*time.Second, 22*time.Second)
 	seeds := []uint64{1, 2, 3, 4}
 	fmt.Println("  policy         overloads  migrations  rebalances  bb-drops  foreign-end  home-end")
@@ -594,7 +185,7 @@ func policyCompare() error {
 // down the line, actuations relay back, and a far-end primary crash
 // fails over across the line without losing the actuation path.
 func pipeLine() error {
-	header("PIPE", "multi-hop pipeline line cell (BuildLineSchedule + static line routes)")
+	fmt.Println("=== PIPE: multi-hop pipeline line cell (BuildLineSchedule + static line routes) ===")
 	exp, err := evm.BuildScenario(evm.RunSpec{Scenario: evm.ScenarioPipeline, Seed: 1})
 	if err != nil {
 		return err
@@ -624,7 +215,7 @@ func pipeLine() error {
 // unit-d's traffic forced the long way round. The invariant harness
 // replays the stream and must find nothing.
 func severDemo() error {
-	header("SEVER", "ring sever + prepare/commit rebalance (outage 10s-22s, d-a link down 12s-30s)")
+	fmt.Println("=== SEVER: ring sever + prepare/commit rebalance (outage 10s-22s, d-a link down 12s-30s) ===")
 	exp, err := evm.BuildScenario(evm.RunSpec{Scenario: evm.ScenarioRefineryRingSever, Seed: 1})
 	if err != nil {
 		return err
@@ -672,7 +263,7 @@ func severDemo() error {
 // seeds a bad capsule (attests cleanly, never actuates) and shows the
 // health window tripping an automatic rollback.
 func otaRollouts() error {
-	header("OTA", "staged capsule rollouts: strategy comparison + bad-capsule rollback")
+	fmt.Println("=== OTA: staged capsule rollouts: strategy comparison + bad-capsule rollback ===")
 	fmt.Println("  strategy      stages  deliveries  completed-at  bb sent/delivered  rollbacks")
 	for _, strategy := range []string{evm.RolloutCanaryCell, evm.RolloutCellByCell, evm.RolloutAllAtOnce} {
 		campus, err := evm.NewOTACampus(1)
@@ -959,7 +550,7 @@ func gridSweep() error {
 	if workers < 4 {
 		workers = 4
 	}
-	header("GRID", fmt.Sprintf("registry sweep on the parallel Runner (%d workers)", workers))
+	fmt.Printf("=== GRID: registry sweep on the parallel Runner (%d workers) ===\n", workers)
 	crash := evm.FaultPlan{
 		Name:  "crash-2",
 		Steps: []evm.FaultStep{{At: 10 * time.Second, CrashNode: 2}},

@@ -49,13 +49,9 @@ func run() error {
 
 	// The whole experiment is declarative: the fault is a plan applied to
 	// the cell, and observability rides the typed event bus.
-	var failoverAt time.Duration
 	s.Cell.Events().Subscribe(func(ev evm.Event) {
 		switch e := ev.(type) {
 		case evm.FailoverEvent:
-			if failoverAt == 0 {
-				failoverAt = e.At
-			}
 			fmt.Printf("[%10v] failover: %s %v -> %v\n", e.At, e.Task, e.From, e.To)
 		case evm.FaultEvent:
 			fmt.Printf("[%10v] fault injected: %s node %v\n", e.At, e.Kind, e.Node)
@@ -78,9 +74,12 @@ func run() error {
 
 	fmt.Println("--- summary ---")
 	fmt.Printf("fault at           %v\n", *faultAt)
-	if failoverAt > 0 {
-		fmt.Printf("fail-over at       %v (detection+arbitration %v)\n", failoverAt, failoverAt-*faultAt)
-	} else {
+	switch at, early := s.LTSFailover(*faultAt); {
+	case early:
+		fmt.Printf("fail-over at       %v (false positive: before the fault)\n", at)
+	case at > 0:
+		fmt.Printf("fail-over at       %v (detection+arbitration %v)\n", at, at-*faultAt)
+	default:
 		fmt.Println("fail-over          did not occur")
 	}
 	fmt.Printf("active controller  %v\n", s.ActiveController())

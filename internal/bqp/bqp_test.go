@@ -112,8 +112,9 @@ func TestGreedyFeasibleButMaybeSuboptimal(t *testing.T) {
 	}
 }
 
-// randomProblem builds a feasible random instance.
-func randomProblem(rng *sim.RNG, tasks, nodes int) *Problem {
+// randomProblem builds a feasible random instance whose task
+// utilisations are spread uniformly over [0.05, 0.05+utilSpread).
+func randomProblem(rng *sim.RNG, tasks, nodes int, utilSpread float64) *Problem {
 	p := &Problem{
 		Cost: make([][]float64, tasks),
 		Pair: make([][]float64, tasks),
@@ -126,7 +127,7 @@ func randomProblem(rng *sim.RNG, tasks, nodes int) *Problem {
 		for n := 0; n < nodes; n++ {
 			p.Cost[t][n] = rng.Float64() * 10
 		}
-		p.Util[t] = 0.05 + rng.Float64()*0.15
+		p.Util[t] = 0.05 + rng.Float64()*utilSpread
 	}
 	for t := 0; t < tasks; t++ {
 		for u := t + 1; u < tasks; u++ {
@@ -146,7 +147,7 @@ func randomProblem(rng *sim.RNG, tasks, nodes int) *Problem {
 func TestAnnealMatchesExhaustiveOnSmallInstances(t *testing.T) {
 	rng := sim.NewRNG(42)
 	for trial := 0; trial < 20; trial++ {
-		p := randomProblem(rng, 5, 3)
+		p := randomProblem(rng, 5, 3, 0.15)
 		opt, err := SolveExhaustive(p)
 		if err != nil {
 			t.Fatal(err)
@@ -164,7 +165,7 @@ func TestAnnealMatchesExhaustiveOnSmallInstances(t *testing.T) {
 func TestAnnealNeverWorseThanGreedy(t *testing.T) {
 	rng := sim.NewRNG(9)
 	for trial := 0; trial < 10; trial++ {
-		p := randomProblem(rng, 8, 4)
+		p := randomProblem(rng, 8, 4, 0.15)
 		greedy, err := SolveGreedy(p)
 		if err != nil {
 			t.Fatal(err)
@@ -180,7 +181,7 @@ func TestAnnealNeverWorseThanGreedy(t *testing.T) {
 }
 
 func TestExhaustiveRefusesHugeInstances(t *testing.T) {
-	p := randomProblem(sim.NewRNG(1), 30, 8)
+	p := randomProblem(sim.NewRNG(1), 30, 8, 0.15)
 	if _, err := SolveExhaustive(p); err == nil {
 		t.Fatal("8^30 enumeration accepted")
 	}

@@ -1,6 +1,7 @@
 // Package trace records time series and summary statistics from
 // simulation runs and renders them as CSV — the raw material for the
-// paper-style figures and tables that cmd/evmbench and cmd/evmsim print.
+// Fig. 6 series cmd/evmsim writes and the statistics the paper
+// benchmarks report.
 package trace
 
 import (

@@ -82,6 +82,9 @@ type GasPlant struct {
 	// actLatencies collects gateway-measured sensor-to-actuation
 	// latencies (experiment E5).
 	actLatencies []time.Duration
+	// ltsFailoverAt is when the LTS task first failed over away from
+	// Ctrl-A; 0 until it does (see LTSFailover).
+	ltsFailoverAt time.Duration
 }
 
 // chillerPIDFactory builds the chiller temperature controller: reverse-
@@ -261,8 +264,13 @@ func NewGasPlant(cfg GasPlantConfig) (*GasPlant, error) {
 		cell.bus.publish(ActuationEvent{At: cell.Now(), Node: src, Task: task, Port: port, Value: value})
 	})
 	cell.Events().Subscribe(func(ev Event) {
-		if _, ok := ev.(ActuationEvent); ok {
+		switch e := ev.(type) {
+		case ActuationEvent:
 			s.actLatencies = append(s.actLatencies, cell.Now()-gw.LastPollAt())
+		case FailoverEvent:
+			if e.Task == LTSTaskID && e.From == GasCtrlAID && s.ltsFailoverAt == 0 {
+				s.ltsFailoverAt = e.At
+			}
 		}
 	})
 
@@ -350,9 +358,22 @@ func (s *GasPlant) ActiveController() NodeID {
 	return id
 }
 
+// LTSFailover is the one derivation of the Fig. 6 fail-over: the first
+// FailoverEvent that moves the LTS task away from Ctrl-A, the primary
+// every gas-plant fault targets. The chiller and reboil loops fail over
+// on their own under loss; those do not count. It returns that
+// fail-over's time, or 0 if none has happened. A fail-over before the
+// fault at faultAt is a false positive: the backup deposed a healthy
+// primary, so the run has no fail-over latency.
+func (s *GasPlant) LTSFailover(faultAt time.Duration) (at time.Duration, falsePositive bool) {
+	return s.ltsFailoverAt, s.ltsFailoverAt > 0 && s.ltsFailoverAt < faultAt
+}
+
 // Fig6Result summarizes one run of the Fig. 6(b) experiment.
 type Fig6Result struct {
-	FaultAt    time.Duration
+	FaultAt time.Duration
+	// FailoverAt is LTSFailover's time, or 0 if the backup did not take
+	// over after the fault.
 	FailoverAt time.Duration
 	// LevelBefore / LevelMin / LevelEnd trace the drop and recovery.
 	LevelBefore float64
@@ -372,13 +393,8 @@ func (s *GasPlant) RunFig6(faultAt, horizon time.Duration) (Fig6Result, error) {
 		return Fig6Result{}, fmt.Errorf("evm: fault at %v after horizon %v", faultAt, horizon)
 	}
 	res := Fig6Result{FaultAt: faultAt}
-	sub := s.Cell.Events().Subscribe(func(ev Event) {
-		if _, ok := ev.(FailoverEvent); ok && res.FailoverAt == 0 {
-			res.FailoverAt = s.Cell.Now()
-		}
-	})
-	defer sub.Cancel()
 	s.Run(faultAt)
+	fault := s.Cell.Now()
 	res.LevelBefore = s.Plant.LTSLevelPct()
 	res.FlowNominal = s.Plant.Flows().TowerFeed
 	s.InjectPrimaryFault()
@@ -396,5 +412,8 @@ func (s *GasPlant) RunFig6(faultAt, horizon time.Duration) (Fig6Result, error) {
 	s.Run(horizon - faultAt)
 	probe.Stop()
 	res.LevelEnd = s.Plant.LTSLevelPct()
+	if at, early := s.LTSFailover(fault); !early {
+		res.FailoverAt = at
+	}
 	return res, nil
 }

@@ -94,6 +94,37 @@ func TestCrashFailover(t *testing.T) {
 	}
 }
 
+// TestLTSFailoverDerivation pins GasPlant.LTSFailover through the trial
+// the fail-over benchmarks run, on seeds picked from a PER 0.2 sweep.
+func TestLTSFailoverDerivation(t *testing.T) {
+	cases := []struct {
+		name          string
+		seed          uint64
+		per           float64
+		crash         bool
+		want          time.Duration // latency, to the ms
+		falsePositive bool
+	}{
+		{name: "compute fault", seed: 1, want: 1827 * time.Millisecond},
+		{name: "crash", seed: 1, crash: true, want: 2017 * time.Millisecond},
+		// The chiller loop fails over at 3.07 s, during the warm-up.
+		{name: "other loop first", seed: 1, per: 0.2, want: 2577 * time.Millisecond},
+		// The LTS loop fails over at 27.27 s, before the fault at 30 s.
+		{name: "false positive", seed: 8, per: 0.2, falsePositive: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			latency, early := failoverTrial(t, c.seed, c.per, c.crash)
+			if early != c.falsePositive {
+				t.Fatalf("false positive = %v, want %v", early, c.falsePositive)
+			}
+			if got := latency.Round(time.Millisecond); got != c.want {
+				t.Fatalf("latency = %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
 func TestControlLatencyWithinThird(t *testing.T) {
 	// Paper objective 5: control cycle <= 250 ms with latency <= 1/3 of
 	// the cycle.
