@@ -663,11 +663,10 @@ func BenchmarkCampusRollout(b *testing.B) {
 // --- Observability: span-derived latency distributions ----------------------
 
 // BenchmarkSpanLatencies runs traced scenarios through the Runner and
-// reports the span-derived latency percentiles so the cross-PR trend
-// table charts control-path latency (escalation, actuation interval,
-// rollout staging) alongside ns/op. All values come from virtual time,
-// so they are stable across machines and repeat byte-identically per
-// seed.
+// reports the span-derived latency percentiles: control-path latency
+// (escalation, actuation interval, rollout staging) alongside ns/op.
+// All values come from virtual time, so they are stable across machines
+// and repeat byte-identically per seed.
 func BenchmarkSpanLatencies(b *testing.B) {
 	cases := []struct {
 		scenario string

@@ -1,21 +1,19 @@
 // Command evmbench runs the federation, placement, line-cell, ring-sever,
-// OTA-rollout and Runner-grid demos and renders the cross-PR benchmark
-// trend. The paper's experiments E1–E10 are the Benchmark functions in
-// the evm package and internal/bqp, whose reported metrics are the
-// results table. Run all demos or select one:
+// OTA-rollout and Runner-grid demos. The paper's experiments E1–E10 are
+// the Benchmark functions in the evm package and internal/bqp, whose
+// reported metrics are the results table; the simulator's end-to-end and
+// per-layer performance is measured by perfbench. Run all demos or
+// select one:
 //
 //	evmbench             # every demo
 //	evmbench -exp sever  # only the ring-sever rebalance
-//	evmbench -trend bench
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"time"
@@ -25,15 +23,8 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "demo to run (fed, policy, pipe, sever, ota, grid or all)")
-	trend := flag.String("trend", "", "directory holding BENCH_pr*.json artifacts; print the cross-PR benchmark trend table and exit")
 	flag.StringVar(&eventDir, "events", "", "directory for per-run event CSVs from the grid sweep (empty = off)")
 	flag.Parse()
-	if *trend != "" {
-		if err := trendTable(*trend); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	experiments := map[string]func() error{
 		"fed": fedCampus, "policy": policyCompare, "pipe": pipeLine,
 		"sever": severDemo, "ota": otaRollouts, "grid": gridSweep,
@@ -338,203 +329,6 @@ func otaRollouts() error {
 	}
 	if rollout.State() != evm.RolloutRolledBack {
 		return fmt.Errorf("ota: bad capsule ended %s, want rolled-back", rollout.State())
-	}
-	return nil
-}
-
-// trendRow is one benchmark row of a BENCH_pr*.json artifact. The fixed
-// columns decode into fields; every other numeric key — the custom units
-// benchmarks report via b.ReportMetric, such as the span-derived latency
-// percentiles (failover_p95_ms, handshake_p99_ms, ...) — lands in Extra
-// so trendTable can chart them across PRs without a schema change per
-// metric.
-type trendRow struct {
-	Name        string
-	NsPerOp     float64
-	AllocsPerOp float64
-	BytesPerOp  float64
-	Extra       map[string]float64
-}
-
-func (r *trendRow) UnmarshalJSON(data []byte) error {
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(data, &m); err != nil {
-		return err
-	}
-	for k, v := range m {
-		switch k {
-		case "name":
-			if err := json.Unmarshal(v, &r.Name); err != nil {
-				return err
-			}
-		case "ns_per_op":
-			if err := json.Unmarshal(v, &r.NsPerOp); err != nil {
-				return err
-			}
-		case "allocs/op":
-			if err := json.Unmarshal(v, &r.AllocsPerOp); err != nil {
-				return err
-			}
-		case "B/op":
-			if err := json.Unmarshal(v, &r.BytesPerOp); err != nil {
-				return err
-			}
-		case "iters":
-			// run count, not a metric
-		default:
-			var f float64
-			if json.Unmarshal(v, &f) == nil {
-				if r.Extra == nil {
-					r.Extra = make(map[string]float64)
-				}
-				r.Extra[k] = f
-			}
-		}
-	}
-	return nil
-}
-
-// trendTable reads every BENCH_pr*.json artifact in dir and prints one
-// row per benchmark with its ns/op across PRs — the cross-PR performance
-// trend (CI emits one artifact per PR; collect them into a directory and
-// run `evmbench -trend <dir>`). Artifacts recorded with -benchmem carry
-// allocation counts too; when any artifact has them, a second table with
-// allocs/op columns follows the timing table. Benchmarks that report
-// custom metrics (span-derived latency percentiles and friends) get a
-// third table with one row per benchmark/metric pair.
-func trendTable(dir string) error {
-	files, err := filepath.Glob(filepath.Join(dir, "BENCH_pr*.json"))
-	if err != nil {
-		return err
-	}
-	if len(files) == 0 {
-		return fmt.Errorf("no BENCH_pr*.json artifacts in %s", dir)
-	}
-	type benchRow = trendRow
-	type artifact struct {
-		PR         int        `json:"pr"`
-		Benchmarks []benchRow `json:"benchmarks"`
-	}
-	perPR := make(map[int]map[string]benchRow)
-	names := make(map[string]bool)
-	var prs []int
-	haveAllocs := make(map[int]bool)
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			return err
-		}
-		var a artifact
-		if err := json.Unmarshal(data, &a); err != nil {
-			return fmt.Errorf("%s: %w", f, err)
-		}
-		if _, dup := perPR[a.PR]; dup {
-			return fmt.Errorf("duplicate artifact for PR %d", a.PR)
-		}
-		rows := make(map[string]benchRow, len(a.Benchmarks))
-		for _, bm := range a.Benchmarks {
-			rows[bm.Name] = bm
-			names[bm.Name] = true
-			if bm.AllocsPerOp > 0 || bm.BytesPerOp > 0 {
-				haveAllocs[a.PR] = true
-			}
-		}
-		perPR[a.PR] = rows
-		prs = append(prs, a.PR)
-	}
-	sort.Ints(prs)
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	fmt.Printf("%-40s", "benchmark (ms/op)")
-	for _, pr := range prs {
-		fmt.Printf("  %10s", fmt.Sprintf("pr%d", pr))
-	}
-	fmt.Println()
-	for _, name := range sorted {
-		fmt.Printf("%-40s", name)
-		for _, pr := range prs {
-			if bm, ok := perPR[pr][name]; ok {
-				fmt.Printf("  %10.3f", bm.NsPerOp/1e6)
-			} else {
-				fmt.Printf("  %10s", "-")
-			}
-		}
-		fmt.Println()
-	}
-	if len(haveAllocs) > 0 {
-		// Allocation table: only PRs benchmarked with -benchmem get a column;
-		// earlier artifacts predate alloc recording and stay timing-only.
-		var allocPRs []int
-		for _, pr := range prs {
-			if haveAllocs[pr] {
-				allocPRs = append(allocPRs, pr)
-			}
-		}
-		fmt.Println()
-		fmt.Printf("%-40s", "benchmark (allocs/op)")
-		for _, pr := range allocPRs {
-			fmt.Printf("  %10s", fmt.Sprintf("pr%d", pr))
-		}
-		fmt.Println()
-		for _, name := range sorted {
-			fmt.Printf("%-40s", name)
-			for _, pr := range allocPRs {
-				if bm, ok := perPR[pr][name]; ok && (bm.AllocsPerOp > 0 || bm.BytesPerOp > 0) {
-					fmt.Printf("  %10.0f", bm.AllocsPerOp)
-				} else {
-					fmt.Printf("  %10s", "-")
-				}
-			}
-			fmt.Println()
-		}
-	}
-	// Custom-metric table: one row per benchmark/metric pair, covering
-	// everything reported via ReportMetric — the span-derived latency
-	// percentiles land here.
-	type metricRow struct{ bench, key string }
-	var metricRows []metricRow
-	for _, name := range sorted {
-		keySet := make(map[string]bool)
-		for _, pr := range prs {
-			if bm, ok := perPR[pr][name]; ok {
-				for k := range bm.Extra {
-					keySet[k] = true
-				}
-			}
-		}
-		keys := make([]string, 0, len(keySet))
-		for k := range keySet {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			metricRows = append(metricRows, metricRow{name, k})
-		}
-	}
-	if len(metricRows) == 0 {
-		return nil
-	}
-	fmt.Println()
-	fmt.Printf("%-40s", "benchmark metric")
-	for _, pr := range prs {
-		fmt.Printf("  %10s", fmt.Sprintf("pr%d", pr))
-	}
-	fmt.Println()
-	for _, row := range metricRows {
-		fmt.Printf("%-40s", row.bench+" "+row.key)
-		for _, pr := range prs {
-			if bm, ok := perPR[pr][row.bench]; ok {
-				if v, ok := bm.Extra[row.key]; ok {
-					fmt.Printf("  %10.3f", v)
-					continue
-				}
-			}
-			fmt.Printf("  %10s", "-")
-		}
-		fmt.Println()
 	}
 	return nil
 }

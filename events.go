@@ -284,10 +284,28 @@ func (l *EventLog) Recorder() *trace.Recorder {
 	return rec
 }
 
-// SeriesName maps an event to its stable telemetry series name — the
-// same key used by EventLog.Recorder CSV columns, Runner metrics and
-// evmd's flat telemetry samples. Campus streams are named by their inner
-// event type (CellEvent unwrapped).
+// SeriesName maps an event to its stable telemetry series name: one
+// series per event type, counting every event of that type. It names
+// EventLog.Recorder's CSV columns and, through evmd's refinement, its
+// flat telemetry samples. Campus streams are named by their inner event
+// type (CellEvent unwrapped).
+//
+// The Runner's metric keys are a different set. Where a name appears in
+// both (failovers, actuations, migrations, joins, intercell_migrations,
+// cell_overloads, cell_recoveries, mode_changes, rollbacks,
+// rebalance_aborts) the two count the same events. Elsewhere:
+//   - "rollouts" counts every RolloutEvent; MetricRollouts counts only
+//     start phases;
+//   - "faults" counts every FaultEvent, clears and restores included;
+//     MetricFaultsInjected counts injections only;
+//   - "capsule_deliveries" counts what MetricCapsuleFrames counts;
+//   - "backbone_transfers" counts every BackboneEvent (sends,
+//     deliveries and drops); the Runner counts only deliveries and
+//     drops, apart, as MetricBackboneDelivered and MetricBackboneDropped;
+//   - "backbone_routes" counts every BackboneRouteEvent;
+//     MetricBackboneReroutes counts only reroutes;
+//   - "backbone_links" counts link severs and restores;
+//     MetricBackboneLinkFaults counts severs only.
 func SeriesName(ev Event) string {
 	if ce, ok := ev.(CellEvent); ok {
 		return SeriesName(ce.Inner)

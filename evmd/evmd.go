@@ -448,9 +448,8 @@ func (s *Server) execute(run *Run) {
 	run.mu.Unlock()
 
 	runner := &evm.Runner{
-		Workers:   1,
-		Trace:     s.cfg.Trace,
-		HostStats: true,
+		Workers: 1,
+		Trace:   s.cfg.Trace,
 		Instrument: func(spec evm.RunSpec, exp *evm.Experiment) func(map[string]float64) {
 			var bus *evm.Bus
 			var now func() time.Duration
@@ -484,13 +483,19 @@ func (s *Server) execute(run *Run) {
 			runner.EventDir = dir
 		}
 	}
+	// The TotalAlloc delta is process-wide: exact with one worker,
+	// concurrent runs bleed into each other's counts.
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	allocStart := ms.TotalAlloc
 	res := runner.RunOne(run.Spec)
+	runtime.ReadMemStats(&ms)
 
 	run.mu.Lock()
 	run.finishedAt = s.cfg.Clock.Now()
 	run.metrics = res.Metrics
 	run.trace = res.TraceJSON
-	run.allocBytes = res.HostAllocBytes
+	run.allocBytes = ms.TotalAlloc - allocStart
 	wall := run.finishedAt.Sub(run.startedAt)
 	if res.Err != nil {
 		run.state = RunFailed

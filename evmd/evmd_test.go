@@ -159,6 +159,49 @@ func TestSubmitLifecycle(t *testing.T) {
 	}
 }
 
+// TestRunHostAccounting checks evmd's host-side accounting of a finished
+// run: GET /v1/runs/{id} reports its wall time and allocation delta, and
+// measuring them leaves the deterministic metric map as a plain Runner
+// computes it.
+func TestRunHostAccounting(t *testing.T) {
+	spec := evm.RunSpec{Scenario: evm.ScenarioEightController, Seed: 1, Horizon: 10 * time.Second}
+	s := NewServer(Config{Workers: 1, QueueDepth: 4})
+	defer s.Drain(0)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	runs, err := s.Submit("acme", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitState(t, runs[0]); st != RunDone {
+		t.Fatalf("run ended %s: %s", st, runs[0].snapshot().Error)
+	}
+	res, err := http.Get(ts.URL + "/v1/runs/" + runs[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st RunStatus
+	err = json.NewDecoder(res.Body).Decode(&st)
+	res.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.AllocBytes == 0 {
+		t.Error("alloc_bytes = 0, want > 0")
+	}
+	if st.WallMS <= 0 {
+		t.Errorf("wall_ms = %v, want > 0", st.WallMS)
+	}
+	want := (&evm.Runner{Workers: 1}).RunOne(spec)
+	if want.Err != nil {
+		t.Fatal(want.Err)
+	}
+	if fmt.Sprint(st.Metrics) != fmt.Sprint(want.Metrics) {
+		t.Errorf("daemon metrics differ from a plain Runner's:\n  daemon: %v\n  runner: %v", st.Metrics, want.Metrics)
+	}
+}
+
 // TestMultiTenantDeterminism is the isolation guarantee: several tenants
 // hammering the daemon concurrently with the same scenario+seed receive
 // byte-identical event streams, identical to a serial CLI-style run.

@@ -33,13 +33,6 @@ type RunResult struct {
 	// loadable in Perfetto / chrome://tracing. Byte-identical across
 	// same-seed runs.
 	TraceJSON []byte
-	// HostWallMS and HostAllocBytes are host-side accounting
-	// (Runner.HostStats): wall-clock execution time and the process's
-	// TotalAlloc delta over the run. They live outside Metrics because
-	// they are nondeterministic, and the alloc delta is process-wide —
-	// exact only with Workers=1; concurrent runs bleed into each other.
-	HostWallMS     float64
-	HostAllocBytes uint64
 }
 
 // Metric keys the Runner derives from the event bus on top of whatever
@@ -135,12 +128,6 @@ type Runner struct {
 	// (span_<name>_p50_ms, ...) merge into RunResult.Metrics, and the
 	// Chrome-trace JSON export lands in RunResult.TraceJSON.
 	Trace bool
-	// TraceDir, when non-empty, implies Trace and additionally writes
-	// each run's export to <TraceDir>/<sanitized spec label>.trace.json.
-	TraceDir string
-	// HostStats enables wall-time and allocation accounting per run,
-	// reported in RunResult.HostWallMS / HostAllocBytes.
-	HostStats bool
 }
 
 // Run executes every spec and returns results in spec order. Individual
@@ -166,7 +153,7 @@ func (r *Runner) Run(specs []RunSpec) []RunResult {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = r.runOne(specs[i])
+				results[i] = r.runSpec(specs[i])
 			}
 		}()
 	}
@@ -182,27 +169,7 @@ func (r *Runner) Run(specs []RunSpec) []RunResult {
 // and returns its result. It is the single-run form of Run: evmd's
 // admission workers dispatch individual submissions through it while the
 // batch grid workflow keeps using Run.
-func (r *Runner) RunOne(spec RunSpec) RunResult { return r.runOne(spec) }
-
-// runOne wraps runSpec with optional host-side accounting. The wall-time
-// and alloc readings never enter Metrics: serial and parallel execution
-// must produce identical metric maps, and these depend on the host.
-func (r *Runner) runOne(spec RunSpec) RunResult {
-	if !r.HostStats {
-		return r.runSpec(spec)
-	}
-	//evm:allow-wallclock host-side accounting of real execution cost; results stay out of the deterministic metric map
-	start := time.Now()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	allocStart := ms.TotalAlloc
-	res := r.runSpec(spec)
-	runtime.ReadMemStats(&ms)
-	//evm:allow-wallclock host-side accounting of real execution cost; results stay out of the deterministic metric map
-	res.HostWallMS = float64(time.Since(start)) / float64(time.Millisecond)
-	res.HostAllocBytes = ms.TotalAlloc - allocStart
-	return res
-}
+func (r *Runner) RunOne(spec RunSpec) RunResult { return r.runSpec(spec) }
 
 // runSpec executes a single grid point: build, instrument, fault, run,
 // measure, clean up. Campus experiments are driven through the campus
@@ -225,7 +192,7 @@ func (r *Runner) runSpec(spec RunSpec) RunResult {
 	}
 	res.Policy = exp.Policy
 	var tracer *span.Tracer
-	if r.Trace || r.TraceDir != "" {
+	if r.Trace {
 		if exp.Campus != nil {
 			tracer = exp.Campus.EnableTracing(spec.Seed)
 		} else {
@@ -389,12 +356,6 @@ func (r *Runner) runSpec(spec RunSpec) RunResult {
 			}
 		} else {
 			res.TraceJSON = buf.Bytes()
-			if r.TraceDir != "" {
-				name := sanitizeLabel(spec.Label()) + ".trace.json"
-				if err := os.WriteFile(filepath.Join(r.TraceDir, name), res.TraceJSON, 0o644); err != nil && res.Err == nil {
-					res.Err = err
-				}
-			}
 		}
 	}
 	if log != nil {

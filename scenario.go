@@ -2,6 +2,7 @@ package evm
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"evm/internal/core"
@@ -48,7 +49,8 @@ type GasPlantConfig struct {
 	// DormantAfter is the Indicator -> Dormant delay (paper: 200 s).
 	DormantAfter time.Duration
 	// PER forces a fixed link loss rate; negative keeps the distance
-	// model; 0 gives a perfect channel.
+	// model; 0 gives a perfect channel. NewGasPlant rejects NaN and
+	// rates above 1.
 	PER float64
 	// UseVM runs the control law as EVM byte code instead of native PID.
 	UseVM bool
@@ -166,6 +168,9 @@ func ltsVMFactory() (func() (TaskLogic, error), error) {
 func NewGasPlant(cfg GasPlantConfig) (*GasPlant, error) {
 	if cfg.ControlPeriod <= 0 {
 		return nil, fmt.Errorf("evm: control period %v", cfg.ControlPeriod)
+	}
+	if math.IsNaN(cfg.PER) || cfg.PER > 1 {
+		return nil, fmt.Errorf("evm: packet error rate %g: want at most 1 (negative selects the distance model)", cfg.PER)
 	}
 	ids := []NodeID{GasGatewayID, GasCtrlAID, GasCtrlBID, GasHeadID, GasSensorID, GasActID}
 	// Three slots per node: after a fail-over one controller may hold two

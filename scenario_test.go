@@ -1,6 +1,7 @@
 package evm
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -169,6 +170,42 @@ func TestGasPlantUnderPacketLoss(t *testing.T) {
 	level := s.Plant.LTSLevelPct()
 	if level < 35 || level > 65 {
 		t.Fatalf("closed loop under 10%% PER drifted to %.1f", level)
+	}
+}
+
+// TestGasPlantPERValidation: NewGasPlant forces rates in (0,1], gives a
+// perfect channel at 0, keeps the distance model for negative rates and
+// rejects NaN and rates above 1.
+func TestGasPlantPERValidation(t *testing.T) {
+	cases := []struct {
+		per    float64
+		forced float64 // Medium.ForcedPER; negative means the distance model or a perfect channel
+		ok     bool
+	}{
+		{per: -1, forced: -1, ok: true},
+		{per: 0, forced: -1, ok: true},
+		{per: 0.3, forced: 0.3, ok: true},
+		{per: 1, forced: 1, ok: true},
+		{per: 1.5},
+		{per: math.NaN()},
+	}
+	for _, tc := range cases {
+		cfg := DefaultGasPlantConfig()
+		cfg.PER = tc.per
+		s, err := NewGasPlant(cfg)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("PER %v: accepted, want an error", tc.per)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("PER %v: %v", tc.per, err)
+			continue
+		}
+		if got := s.Cell.Medium().ForcedPER(); got != tc.forced {
+			t.Errorf("PER %v: forced PER = %v, want %v", tc.per, got, tc.forced)
+		}
 	}
 }
 

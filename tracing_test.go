@@ -3,7 +3,6 @@ package evm
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"testing"
 	"time"
 )
@@ -149,26 +148,5 @@ func TestAggregatePercentiles(t *testing.T) {
 	want := "n=100 mean=50.500 min=1.000 max=100.000 p50=50.000 p95=95.000 p99=99.000"
 	if got := sum.String(); got != want {
 		t.Fatalf("summary string = %q, want %q", got, want)
-	}
-}
-
-// TestRunnerHostStats checks the host-side accounting: wall time and
-// allocation deltas are recorded outside Metrics, so enabling them
-// cannot perturb the deterministic surface.
-func TestRunnerHostStats(t *testing.T) {
-	spec := RunSpec{Scenario: ScenarioEightController, Seed: 1, Horizon: 10 * time.Second}
-	with := (&Runner{Workers: 1, HostStats: true}).RunOne(spec)
-	without := (&Runner{Workers: 1}).RunOne(spec)
-	if with.Err != nil || without.Err != nil {
-		t.Fatalf("errs: %v / %v", with.Err, without.Err)
-	}
-	if with.HostWallMS <= 0 {
-		t.Errorf("HostWallMS = %v, want > 0", with.HostWallMS)
-	}
-	if without.HostWallMS != 0 || without.HostAllocBytes != 0 {
-		t.Error("host stats recorded without HostStats")
-	}
-	if fmt.Sprint(with.Metrics) != fmt.Sprint(without.Metrics) {
-		t.Error("HostStats changed the deterministic metrics map")
 	}
 }
