@@ -53,10 +53,21 @@ type ActuationEvent struct {
 // When implements Event.
 func (e ActuationEvent) When() time.Duration { return e.At }
 
-// String implements Event.
+// String implements Event. Actuations are most of every stream, so it
+// appends in place of fmt; the bytes are those of the format
+// "%v actuation node=%d task=%s port=%d value=%s".
 func (e ActuationEvent) String() string {
-	return fmt.Sprintf("%v actuation node=%d task=%s port=%d value=%s",
-		e.At, e.Node, e.Task, e.Port, strconv.FormatFloat(e.Value, 'g', -1, 64))
+	var buf [128]byte
+	b := append(buf[:0], e.At.String()...)
+	b = append(b, " actuation node="...)
+	b = strconv.AppendUint(b, uint64(e.Node), 10)
+	b = append(b, " task="...)
+	b = append(b, e.Task...)
+	b = append(b, " port="...)
+	b = strconv.AppendUint(b, uint64(e.Port), 10)
+	b = append(b, " value="...)
+	b = strconv.AppendFloat(b, e.Value, 'g', -1, 64)
+	return string(b)
 }
 
 // MigrationEvent fires when a migrated task's state becomes ready on the

@@ -1,8 +1,14 @@
 package evm
 
 import (
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
+
+	"evm/internal/core"
 )
 
 // testVC builds the standard 4-node component: gateway 1, candidates 2/3,
@@ -235,6 +241,44 @@ func TestDeployStopsStartedNodesOnFailure(t *testing.T) {
 	}
 }
 
+// TestDeployRejectsDisjointConflict: an explicit transfer graph that
+// declares a pair disjoint and also lets it communicate is rejected by
+// the one VC check, before any node runtime is built or the network
+// starts. AddNodeRuntime rejects it before attaching a radio.
+func TestDeployRejectsDisjointConflict(t *testing.T) {
+	cell, err := NewCellWith(CellConfig{Seed: 1}, WithNodes(1, 2, 3, 4), WithPER(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc := testVC(4)
+	calls := 0
+	makeLogic := vc.Tasks[0].MakeLogic
+	vc.Tasks[0].MakeLogic = func() (TaskLogic, error) {
+		calls++
+		return makeLogic()
+	}
+	vc.Transfers = []Transfer{
+		{Type: core.TransferDisjoint, From: 2, To: 3},
+		{Type: core.TransferHealth, From: 3, To: 2},
+	}
+	err = cell.Deploy(vc)
+	if err == nil || !strings.Contains(err.Error(), "disjoint") {
+		t.Fatalf("Deploy error = %v, want the disjoint conflict", err)
+	}
+	if len(cell.nodes) != 0 || calls != 0 {
+		t.Fatalf("%d runtimes and %d replicas built before the VC was rejected", len(cell.nodes), calls)
+	}
+	if p := cell.Engine().Pending(); p != 0 {
+		t.Fatalf("%d events pending after rejected Deploy", p)
+	}
+	if _, err := cell.AddNodeRuntime(5, vc); err == nil {
+		t.Fatal("AddNodeRuntime accepted the conflicting graph")
+	}
+	if cell.Medium().Radio(5) != nil || len(cell.Members()) != 4 {
+		t.Fatal("AddNodeRuntime attached node 5 before rejecting the VC")
+	}
+}
+
 var errTestLogic = &logicError{}
 
 type logicError struct{}
@@ -318,5 +362,28 @@ func TestPERBurstRestoresForcedRate(t *testing.T) {
 	cell.Run(2 * time.Second)
 	if got := cell.Medium().ForcedPER(); got != 0.3 {
 		t.Fatalf("post-burst forced PER = %g, want the pre-burst 0.3", got)
+	}
+}
+
+// TestActuationStringMatchesFormat: ActuationEvent.String appends by
+// hand instead of calling fmt; its bytes must stay those of the format
+// string it replaced, which every committed event digest is built on.
+func TestActuationStringMatchesFormat(t *testing.T) {
+	for _, e := range []ActuationEvent{
+		{},
+		{At: 250 * time.Millisecond, Node: 3, Task: "lts", Port: 10, Value: 11.48},
+		{At: 3*time.Hour + 7, Node: 65535, Task: "a-very-long-task-id-0123456789ab", Port: 255, Value: -1e21},
+		{At: -time.Second, Node: 1, Task: "x", Value: math.NaN()},
+		{At: time.Microsecond, Value: math.Inf(1)},
+		{At: 1, Value: 1.25e-7},
+	} {
+		want := fmt.Sprintf("%v actuation node=%d task=%s port=%d value=%s",
+			e.At, e.Node, e.Task, e.Port, strconv.FormatFloat(e.Value, 'g', -1, 64))
+		if got := e.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+		if got, want := (CellEvent{Cell: "west", Inner: e}).String(), "cell=west "+want; got != want {
+			t.Errorf("CellEvent.String() = %q, want %q", got, want)
+		}
 	}
 }

@@ -305,8 +305,10 @@ func (c *Cell) Nodes() []*Node {
 }
 
 // Deploy instantiates the EVM runtime on every member except the
-// configured gateway, and starts the TDMA network. On failure no runtime
-// is left running: nodes started before the error are stopped again.
+// configured gateway, and starts the TDMA network. The VC, including an
+// explicit Transfers graph, is validated once before any node is built.
+// On failure no runtime is left running: nodes started before the error
+// are stopped again.
 func (c *Cell) Deploy(vc VCConfig) error {
 	if err := vc.Validate(); err != nil {
 		return err
@@ -391,12 +393,16 @@ func (c *Cell) wireNodeEvents(node *Node) {
 // AddNodeRuntime admits a new node at runtime: attaches a radio, extends
 // the TDMA schedule with slots for it, joins the link layer and deploys
 // the EVM runtime (on-line capacity expansion, §4.2 objective 2). The new
-// node is placed by the cell's placement at the next free index. On any
-// failure the cell is rolled back to its previous state — no radio, slot
-// assignment, link or runtime is leaked.
+// node is placed by the cell's placement at the next free index. The VC
+// is validated before anything is attached. On any failure the cell is
+// rolled back to its previous state — no radio, slot assignment, link or
+// runtime is leaked.
 func (c *Cell) AddNodeRuntime(id NodeID, vc VCConfig) (*Node, error) {
 	if _, exists := c.nodes[id]; exists {
 		return nil, fmt.Errorf("evm: node %v already deployed", id)
+	}
+	if err := vc.Validate(); err != nil {
+		return nil, err
 	}
 	if c.placement.capacity > 0 && len(c.ids) >= c.placement.capacity {
 		return nil, fmt.Errorf("evm: placement %s is full (%d nodes)", c.placement.name, len(c.ids))

@@ -202,3 +202,43 @@ func TestFuzzEndpoint(t *testing.T) {
 		t.Fatalf("bad profile status = %d, body %s", resp.StatusCode, body)
 	}
 }
+
+// TestEvictionPrunesTenantLists: with a TTL and a MaxRuns cap together,
+// the expired runs leave first and the cap then takes the oldest of the
+// rest; the tenant tables drop exactly the runs the run table dropped.
+func TestEvictionPrunesTenantLists(t *testing.T) {
+	clk := newFakeClock()
+	s := NewServer(Config{Workers: 1, QueueDepth: 16, MaxRuns: 2, RunTTL: time.Minute, Clock: clk})
+	defer s.Drain(0)
+
+	spec := evm.RunSpec{Scenario: evm.ScenarioEightController, Seed: 1, Horizon: 500 * time.Millisecond}
+	submit := func(tenant string) *Run {
+		t.Helper()
+		runs, err := s.Submit(tenant, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, runs[0])
+		return runs[0]
+	}
+	old := submit("a") // finishes a minute before the others
+	clk.Advance(time.Minute)
+	runs := []*Run{submit("a"), submit("b"), submit("a"), submit("b")}
+	if n := s.EvictNow(); n != 0 {
+		t.Fatalf("EvictNow evicted %d more runs, want 0", n)
+	}
+	if run, evicted := s.lookupRun(old.ID); run != nil || !evicted {
+		t.Fatalf("expired run %s still in the table", old.ID)
+	}
+	for _, r := range runs[:2] {
+		if run, evicted := s.lookupRun(r.ID); run != nil || !evicted {
+			t.Fatalf("run %s survived the MaxRuns cap", r.ID)
+		}
+	}
+	for tenant, want := range map[string]string{"a": runs[2].ID, "b": runs[3].ID} {
+		ts := s.Tenant(tenant)
+		if len(ts.Recent) != 1 || ts.Recent[0].ID != want {
+			t.Fatalf("tenant %s lists %+v, want only %s", tenant, ts.Recent, want)
+		}
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -120,6 +121,10 @@ type Run struct {
 	Spec   evm.RunSpec
 
 	stream *stream
+
+	// evicted marks a run that has left the server's table; it is
+	// guarded by Server.mu, not by mu.
+	evicted bool
 
 	mu          sync.Mutex
 	state       RunState
@@ -232,7 +237,7 @@ type Server struct {
 	mu      sync.Mutex
 	seq     int
 	runs    map[string]*Run
-	order   []string // run IDs in admission order
+	order   []*Run // the runs in admission order
 	tenants map[string][]*Run
 
 	running  atomic.Int64
@@ -338,7 +343,7 @@ func (s *Server) Submit(tenant string, specs ...evm.RunSpec) ([]*Run, error) {
 	s.mu.Lock()
 	for _, run := range runs {
 		s.runs[run.ID] = run
-		s.order = append(s.order, run.ID)
+		s.order = append(s.order, run)
 		s.tenants[tenant] = append(s.tenants[tenant], run)
 	}
 	s.evictLocked(s.cfg.Clock.Now())
@@ -350,9 +355,11 @@ func (s *Server) Submit(tenant string, specs ...evm.RunSpec) ([]*Run, error) {
 // evictLocked enforces Config.RunTTL and Config.MaxRuns over the run
 // table. Only finished runs are candidates; they leave in admission
 // order, so the table always keeps the most recent history. Callers
-// hold s.mu. Returns how many runs were evicted.
+// hold s.mu. Returns how many runs were evicted. It runs on every
+// admission and completion, so with no TTL and the table within MaxRuns
+// it returns before looking at any run.
 func (s *Server) evictLocked(now time.Time) int {
-	if s.cfg.RunTTL <= 0 && s.cfg.MaxRuns <= 0 {
+	if s.cfg.RunTTL <= 0 && (s.cfg.MaxRuns <= 0 || len(s.runs) <= s.cfg.MaxRuns) {
 		return 0
 	}
 	finished := func(r *Run) (time.Time, bool) {
@@ -364,52 +371,49 @@ func (s *Server) evictLocked(now time.Time) int {
 		}
 		return time.Time{}, false
 	}
-	evict := make(map[string]bool)
+	evicted := 0
 	if s.cfg.RunTTL > 0 {
-		for _, id := range s.order {
-			if at, ok := finished(s.runs[id]); ok && now.Sub(at) >= s.cfg.RunTTL {
-				evict[id] = true
-			}
-		}
+		evicted += s.dropLocked(func(r *Run) bool {
+			at, ok := finished(r)
+			return ok && now.Sub(at) >= s.cfg.RunTTL
+		})
 	}
-	if s.cfg.MaxRuns > 0 {
-		excess := len(s.runs) - len(evict) - s.cfg.MaxRuns
-		for _, id := range s.order {
+	if excess := len(s.runs) - s.cfg.MaxRuns; s.cfg.MaxRuns > 0 && excess > 0 {
+		evicted += s.dropLocked(func(r *Run) bool {
 			if excess <= 0 {
-				break
+				return false
 			}
-			if evict[id] {
-				continue
-			}
-			if _, ok := finished(s.runs[id]); ok {
-				evict[id] = true
+			_, ok := finished(r)
+			if ok {
 				excess--
 			}
-		}
+			return ok
+		})
 	}
-	if len(evict) == 0 {
+	if evicted == 0 {
 		return 0
 	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		if evict[id] {
-			delete(s.runs, id)
-		} else {
-			kept = append(kept, id)
-		}
-	}
-	s.order = kept
 	for tenant, runs := range s.tenants {
-		keptRuns := runs[:0]
-		for _, r := range runs {
-			if !evict[r.ID] {
-				keptRuns = append(keptRuns, r)
-			}
-		}
-		s.tenants[tenant] = keptRuns
+		s.tenants[tenant] = slices.DeleteFunc(runs, func(r *Run) bool { return r.evicted })
 	}
-	s.evicted.Add(int64(len(evict)))
-	return len(evict)
+	s.evicted.Add(int64(evicted))
+	return evicted
+}
+
+// dropLocked evicts every run that drop selects, asking in admission
+// order, and returns how many it evicted. Tenant lists are left to the
+// caller. Callers hold s.mu.
+func (s *Server) dropLocked(drop func(*Run) bool) int {
+	n := len(s.order)
+	s.order = slices.DeleteFunc(s.order, func(r *Run) bool {
+		if !drop(r) {
+			return false
+		}
+		r.evicted = true
+		delete(s.runs, r.ID)
+		return true
+	})
+	return n - len(s.order)
 }
 
 // EvictNow applies the eviction policy immediately (it otherwise runs
@@ -527,11 +531,8 @@ func (s *Server) Run(id string) *Run {
 // by tenant and state ("" = no filter).
 func (s *Server) Runs(tenant string, state RunState) []RunStatus {
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	runs := s.runs
-	out := make([]RunStatus, 0, len(ids))
-	for _, id := range ids {
-		r := runs[id]
+	out := make([]RunStatus, 0, len(s.order))
+	for _, r := range s.order {
 		if tenant != "" && r.Tenant != tenant {
 			continue
 		}

@@ -479,6 +479,110 @@ func TestStreamFollowsLiveRun(t *testing.T) {
 	}
 }
 
+// flushRecorder is a ResponseWriter that remembers what had been written
+// at its latest Flush, and how many flushes there were.
+type flushRecorder struct {
+	mu      sync.Mutex
+	hdr     http.Header
+	buf     bytes.Buffer
+	flushed string
+	flushes int
+}
+
+func (f *flushRecorder) Header() http.Header { return f.hdr }
+
+func (f *flushRecorder) WriteHeader(int) {}
+
+func (f *flushRecorder) Write(p []byte) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.buf.Write(p)
+}
+
+func (f *flushRecorder) Flush() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.flushed = f.buf.String()
+	f.flushes++
+}
+
+func (f *flushRecorder) state() (written, flushed string, flushes int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.buf.String(), f.flushed, f.flushes
+}
+
+// TestStreamFlushesWhenCaughtUp: a follower of a stream that is still
+// open has flushed every record so far before it blocks for the next,
+// in both NDJSON and SSE framing. A backlog it finds already logged goes
+// out in a single flush rather than one per record.
+func TestStreamFlushesWhenCaughtUp(t *testing.T) {
+	ev := func(i int) evm.Event {
+		return evm.JoinEvent{At: time.Duration(i) * time.Millisecond, Node: evm.NodeID(i%8 + 1)}
+	}
+	for _, sse := range []bool{false, true} {
+		render := func(n int) string {
+			var b strings.Builder
+			enc := json.NewEncoder(&b)
+			for i := 0; i < n; i++ {
+				if sse {
+					b.WriteString("data: ")
+				}
+				if err := enc.Encode(record(ev(i))); err != nil {
+					t.Fatal(err)
+				}
+				if sse {
+					b.WriteString("\n")
+				}
+			}
+			return b.String()
+		}
+		waitFlushed := func(w *flushRecorder, n int) int {
+			t.Helper()
+			want := render(n)
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				_, flushed, flushes := w.state()
+				if flushed == want {
+					return flushes
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("sse=%v: follower blocked with %d of %d bytes flushed", sse, len(flushed), len(want))
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+
+		st := newStream()
+		const backlog = 20
+		for i := 0; i < backlog; i++ {
+			st.observe(ev(i))
+		}
+		w := &flushRecorder{hdr: http.Header{}}
+		done := make(chan struct{})
+		go func() {
+			st.follow(w, sse, nil)
+			close(done)
+		}()
+		if flushes := waitFlushed(w, backlog); flushes != 1 {
+			t.Fatalf("sse=%v: backlog of %d records took %d flushes, want 1", sse, backlog, flushes)
+		}
+		for n := backlog + 1; n <= backlog+3; n++ {
+			st.observe(ev(n - 1))
+			waitFlushed(w, n)
+		}
+		st.close()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("sse=%v: follower did not return after close", sse)
+		}
+		if written, _, flushes := w.state(); written != render(backlog+3) || flushes != 4 {
+			t.Fatalf("sse=%v: %d flushes, stream:\n%s", sse, flushes, written)
+		}
+	}
+}
+
 // BenchmarkSubmissionThroughput measures the service path the load
 // harness exercises: HTTP submission into the admission queue, execution
 // on the worker pool, status polling to completion. The reported metric

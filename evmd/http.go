@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strings"
@@ -266,8 +267,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams the run's event records from the start: SSE when
 // the client asks for text/event-stream (or ?format=sse), NDJSON
-// otherwise. The stream ends when the run completes; a disconnected
-// client unblocks via the context watcher.
+// otherwise. It flushes only when it has caught up with the run, not
+// after every record (see stream.follow). The stream ends when the run
+// completes; a disconnected client unblocks via the context watcher.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	run := s.fetchRun(w, r)
 	if run == nil {
@@ -283,28 +285,43 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	} else {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
-	flusher, _ := w.(http.Flusher)
 	ctx := r.Context()
 	go func() {
 		<-ctx.Done()
 		run.stream.wake()
 	}()
+	run.stream.follow(w, sse, func() bool { return ctx.Err() != nil })
+}
+
+// follow writes the stream's records to w from the start, one JSON line
+// each (an SSE "data:" event when sse is set), until the stream closes
+// or cancelled reports the reader gone. It flushes only when it has
+// caught up, i.e. when the next record is not yet available: a replay
+// or a burst goes out in a few large writes instead of one per record,
+// and a live follower still has every record so far on the wire before
+// it blocks waiting for the next.
+func (st *stream) follow(w io.Writer, sse bool, cancelled func() bool) {
+	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	for i := 0; ; i++ {
-		rec, ok := run.stream.next(i, func() bool { return ctx.Err() != nil })
+		rec, ok := st.next(i, cancelled)
 		if !ok {
 			return
 		}
 		if sse {
-			fmt.Fprint(w, "data: ")
+			if _, err := io.WriteString(w, "data: "); err != nil {
+				return
+			}
 		}
 		if err := enc.Encode(rec); err != nil {
 			return
 		}
 		if sse {
-			fmt.Fprint(w, "\n")
+			if _, err := io.WriteString(w, "\n"); err != nil {
+				return
+			}
 		}
-		if flusher != nil {
+		if flusher != nil && !st.ready(i+1) {
 			flusher.Flush()
 		}
 	}

@@ -157,6 +157,14 @@ func (s *stream) next(i int, cancelled func() bool) (EventRecord, bool) {
 	return record(ev), true
 }
 
+// ready reports, without blocking, whether next(i) would return at
+// once: record i exists or the stream is closed.
+func (s *stream) ready(i int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return i < len(s.events) || s.closed
+}
+
 // wake re-broadcasts the stream condition (used to unblock readers when
 // their HTTP context is cancelled).
 func (s *stream) wake() {

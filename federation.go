@@ -1123,7 +1123,7 @@ func (e CellEvent) When() time.Duration { return e.Inner.When() }
 
 // String implements Event.
 func (e CellEvent) String() string {
-	return fmt.Sprintf("cell=%s %s", e.Cell, e.Inner.String())
+	return "cell=" + e.Cell + " " + e.Inner.String()
 }
 
 // CellOverloadEvent fires when the federation coordinator finds a cell

@@ -3,6 +3,7 @@ package evm
 import (
 	"math"
 	"math/big"
+	"runtime"
 	"testing"
 	"time"
 
@@ -24,15 +25,15 @@ var headlineRuns = []struct {
 	{"fig6-failover", func() (uint64, error) {
 		_, n, err := runFig6(1)
 		return n, err
-	}, 157065, 126707},
+	}, 157065, 34603},
 	{"ring-sever-recovery", func() (uint64, error) {
 		res, n := runCounted(RunSpec{Scenario: ScenarioRefineryRingSever, Seed: 1, Horizon: 40 * time.Second})
 		return n, res.Err
-	}, 89436, 23489},
+	}, 89436, 23064},
 	{"campus-rollout", func() (uint64, error) {
 		res, n := runCounted(RunSpec{Scenario: ScenarioOTACampus, Seed: 1, Horizon: 30 * time.Second})
 		return n, res.Err
-	}, 34430, 10977},
+	}, 34430, 10808},
 }
 
 // TestHeadlineDispatchCounts pins the engine's events/op on the headline
@@ -63,6 +64,45 @@ func TestHeadlineAllocCeilings(t *testing.T) {
 		if got > c.allocs {
 			t.Errorf("%s: %v allocs per run, ceiling %v", c.name, got, c.allocs)
 		}
+	}
+}
+
+// buildCeiling caps building every registered scenario once at seed 1:
+// heap allocations (the measured count plus 1%) and bytes allocated
+// (the measured total plus 2%).
+var buildCeiling = struct {
+	allocs float64
+	bytes  uint64
+}{10986, 966992}
+
+// TestBuildScenarioAllocCeiling keeps per-node work that belongs to the
+// whole Virtual Component, such as re-validating it or rebuilding its
+// object-transfer graph, from returning to scenario construction: a
+// short run pays it on every build.
+func TestBuildScenarioAllocCeiling(t *testing.T) {
+	names := Scenarios()
+	var err error
+	buildAll := func() {
+		for _, name := range names {
+			if _, err = BuildScenario(RunSpec{Scenario: name, Seed: 1}); err != nil {
+				return
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(1, buildAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	buildAll()
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	if allocs > buildCeiling.allocs {
+		t.Errorf("building %d scenarios: %v allocs, ceiling %v", len(names), allocs, buildCeiling.allocs)
+	}
+	if bytes > buildCeiling.bytes {
+		t.Errorf("building %d scenarios: %d bytes, ceiling %d", len(names), bytes, buildCeiling.bytes)
 	}
 }
 

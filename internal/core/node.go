@@ -63,12 +63,11 @@ type replica struct {
 // observes primaries when in Backup role, reports faults to the VC head,
 // and accepts migrated code/state.
 type Node struct {
-	eng   *sim.Engine
-	link  *rtlink.Link
-	net   *rtlink.Network
-	cfg   VCConfig
-	id    radio.NodeID
-	graph *TransferGraph
+	eng  *sim.Engine
+	link *rtlink.Link
+	net  *rtlink.Network
+	cfg  VCConfig
+	id   radio.NodeID
 
 	replicas map[string]*replica
 	// sorted is replicas in task-ID order. It is replaced, never edited
@@ -109,26 +108,16 @@ func (n *Node) SetMigrationSink(fn func(taskID string, from radio.NodeID)) {
 }
 
 // NewNode builds the EVM runtime for one member node. The node creates a
-// replica for every task that lists it as a candidate.
+// replica for every task that lists it as a candidate. cfg must have
+// passed VCConfig.Validate: the VC is checked once per deployment, not
+// once per node.
 func NewNode(net *rtlink.Network, link *rtlink.Link, cfg VCConfig) (*Node, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	edges := cfg.Transfers
-	if edges == nil {
-		edges = cfg.DefaultTransfers()
-	}
-	graph, err := NewTransferGraph(edges)
-	if err != nil {
-		return nil, err
-	}
 	n := &Node{
 		eng:           net.Engine(),
 		link:          link,
 		net:           net,
 		cfg:           cfg,
 		id:            link.ID(),
-		graph:         graph,
 		replicas:      make(map[string]*replica),
 		computeFaults: make(map[string]float64),
 		modeTasks:     make(map[uint8]map[string]bool),
@@ -178,9 +167,6 @@ func (n *Node) Head() *Head { return n.head }
 
 // Link exposes the underlying RT-Link layer.
 func (n *Node) Link() *rtlink.Link { return n.link }
-
-// Graph returns the VC's object-transfer graph.
-func (n *Node) Graph() *TransferGraph { return n.graph }
 
 // TaskSet returns the node's admitted real-time task set.
 func (n *Node) TaskSet() rtos.TaskSet { return append(rtos.TaskSet(nil), n.taskset...) }

@@ -101,16 +101,20 @@ type VCConfig struct {
 	// Gateway is the plant bridge node (excluded from task placement).
 	Gateway radio.NodeID
 	Tasks   []TaskSpec
-	// Transfers is the object-transfer graph; if nil a default graph is
-	// derived (health assessment among each task's candidates,
-	// directional transfers to/from the gateway).
+	// Transfers is the object-transfer graph; if nil the graph is the
+	// one DefaultTransfers derives (health assessment among each task's
+	// candidates, directional transfers to/from the gateway), which is
+	// well-formed for every VC that passes Validate.
 	Transfers []Transfer
 	// DormantAfter is how long a demoted primary stays Indicator before
 	// the head sets it Dormant (paper: T3 - T2 = 200 s).
 	DormantAfter time.Duration
 }
 
-// Validate checks the VC configuration.
+// Validate checks the VC configuration, including an explicit
+// Transfers graph (each edge, and no communicating edge between a pair
+// declared disjoint). A VC is validated once per deployment; NewNode
+// relies on it and does not check again.
 func (c VCConfig) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("core: VC with empty name")
@@ -136,7 +140,7 @@ func (c VCConfig) Validate() error {
 	if c.DormantAfter < 0 {
 		return fmt.Errorf("core: negative DormantAfter")
 	}
-	return nil
+	return validateTransfers(c.Transfers)
 }
 
 // DefaultTransfers derives the object-transfer graph: directional sensor

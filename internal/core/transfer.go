@@ -96,28 +96,35 @@ type TransferGraph struct {
 
 // NewTransferGraph validates and assembles a graph.
 func NewTransferGraph(edges []Transfer) (*TransferGraph, error) {
-	g := &TransferGraph{edges: append([]Transfer(nil), edges...)}
-	for i, e := range g.edges {
+	if err := validateTransfers(edges); err != nil {
+		return nil, err
+	}
+	return &TransferGraph{edges: append([]Transfer(nil), edges...)}, nil
+}
+
+// validateTransfers checks every edge, and that no pair declared
+// disjoint also shares a communicating edge.
+func validateTransfers(edges []Transfer) error {
+	for i, e := range edges {
 		if err := e.Validate(); err != nil {
-			return nil, fmt.Errorf("edge %d: %w", i, err)
+			return fmt.Errorf("edge %d: %w", i, err)
 		}
 	}
-	// Disjoint pairs must not also have a communicating edge.
-	for _, d := range g.edges {
+	for _, d := range edges {
 		if d.Type != TransferDisjoint {
 			continue
 		}
-		for _, e := range g.edges {
+		for _, e := range edges {
 			if e.Type == TransferDisjoint {
 				continue
 			}
 			if samePair(d, e) {
-				return nil, fmt.Errorf("core: nodes %v and %v declared disjoint but share a %v transfer",
+				return fmt.Errorf("core: nodes %v and %v declared disjoint but share a %v transfer",
 					d.From, d.To, e.Type)
 			}
 		}
 	}
-	return g, nil
+	return nil
 }
 
 func samePair(a, b Transfer) bool {

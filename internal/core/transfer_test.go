@@ -151,6 +151,18 @@ func TestVCConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("missing logic factory accepted")
 	}
+	bad = defaultCfg()
+	bad.Transfers = []Transfer{
+		{Type: TransferDisjoint, From: ctrlA, To: ctrlB},
+		{Type: TransferHealth, From: ctrlA, To: ctrlB},
+	}
+	if err := bad.Validate(); err == nil {
+		t.Fatal("disjoint pair with a health transfer accepted")
+	}
+	bad.Transfers = []Transfer{{Type: TransferTemporal, From: gwID, To: ctrlA}}
+	if err := bad.Validate(); err == nil {
+		t.Fatal("temporal transfer without MaxAge accepted")
+	}
 }
 
 func TestInitialRoles(t *testing.T) {

@@ -166,6 +166,13 @@ type Gateway struct {
 	active map[string]radio.NodeID
 
 	lastPollAt time.Duration
+	// req, resp, vals and readings are the ModBus request, response,
+	// parsed-register and snapshot buffers, reused by every poll and
+	// actuation. None escapes: the broadcast payload is freshly encoded.
+	req      []byte
+	resp     []byte
+	vals     []uint16
+	readings []wire.SensorReading
 	// actuateSink is the facade's event-bus observer for accepted
 	// actuations (ActuationEvent on evm.Cell.Events).
 	actuateSink func(src radio.NodeID, taskID string, port uint8, value float64)
@@ -225,24 +232,26 @@ func (g *Gateway) LastPollAt() time.Duration { return g.lastPollAt }
 func (g *Gateway) pollOnce() {
 	g.lastPollAt = g.eng.Now()
 	g.ps.Refresh()
-	readings := make([]wire.SensorReading, 0, len(g.cfg.Sensors))
+	g.readings = g.readings[:0]
 	for _, sm := range g.cfg.Sensors {
-		resp, err := g.ps.Srv.Handle(g.cli.ReadHoldingRequest(sm.Reg, 1))
+		var err error
+		g.req = g.cli.AppendReadHoldingRequest(g.req[:0], sm.Reg, 1)
+		g.resp, err = g.ps.Srv.AppendHandle(g.resp[:0], g.req)
 		if err != nil {
 			g.stats.ModbusErrors++
 			continue
 		}
-		vals, err := g.cli.ParseReadResponse(resp)
-		if err != nil || len(vals) != 1 {
+		g.vals, err = g.cli.AppendReadResponse(g.vals[:0], g.resp)
+		if err != nil || len(g.vals) != 1 {
 			g.stats.ModbusErrors++
 			continue
 		}
-		readings = append(readings, wire.SensorReading{
+		g.readings = append(g.readings, wire.SensorReading{
 			Port:  sm.Port,
-			Value: modbus.FromReg(vals[0], sm.Scale) - sm.Offset,
+			Value: modbus.FromReg(g.vals[0], sm.Scale) - sm.Offset,
 		})
 	}
-	payload, err := wire.SensorSnapshot{At: g.eng.Now(), Readings: readings}.Encode()
+	payload, err := wire.SensorSnapshot{At: g.eng.Now(), Readings: g.readings}.Encode()
 	if err != nil {
 		g.stats.ModbusErrors++
 		return
@@ -286,9 +295,10 @@ func (g *Gateway) onActuate(msg rtlink.Message) {
 		if am.Port != act.Port {
 			continue
 		}
-		req := g.cli.WriteSingleRequest(am.Reg, modbus.ToReg(act.Value+am.Offset, am.Scale))
-		resp, err := g.ps.Srv.Handle(req)
-		if err != nil || g.cli.CheckWriteResponse(resp) != nil {
+		var err error
+		g.req = g.cli.AppendWriteSingleRequest(g.req[:0], am.Reg, modbus.ToReg(act.Value+am.Offset, am.Scale))
+		g.resp, err = g.ps.Srv.AppendHandle(g.resp[:0], g.req)
+		if err != nil || g.cli.CheckWriteResponse(g.resp) != nil {
 			g.stats.ModbusErrors++
 			return
 		}

@@ -72,10 +72,10 @@ func CRC16(data []byte) uint16 {
 	return crc
 }
 
-// appendCRC appends the little-endian CRC to a frame body.
-func appendCRC(frame []byte) []byte {
-	crc := CRC16(frame)
-	return append(frame, byte(crc), byte(crc>>8))
+// appendCRC appends the little-endian CRC of the frame body b[start:].
+func appendCRC(b []byte, start int) []byte {
+	crc := CRC16(b[start:])
+	return append(b, byte(crc), byte(crc>>8))
 }
 
 // checkCRC verifies and strips the CRC, returning the body.
@@ -134,94 +134,101 @@ type Server struct {
 // Handle processes one request frame and returns the response frame.
 // Frames addressed to other units return nil (silent, per RTU semantics).
 func (s *Server) Handle(frame []byte) ([]byte, error) {
+	return s.AppendHandle(nil, frame)
+}
+
+// AppendHandle is Handle appending the response frame to dst, so a
+// caller that polls repeatedly can reuse one response buffer. Frames for
+// other units and errors append nothing and return dst as it was.
+func (s *Server) AppendHandle(dst, frame []byte) ([]byte, error) {
 	body, err := checkCRC(frame)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if len(body) < 2 {
-		return nil, ErrShort
+		return dst, ErrShort
 	}
 	if body[0] != s.UnitID {
-		return nil, nil
+		return dst, nil
 	}
 	fn := body[1]
 	pdu := body[2:]
 	switch fn {
 	case FuncReadHolding:
-		return s.readHolding(pdu)
+		return s.readHolding(dst, pdu)
 	case FuncWriteSingle:
-		return s.writeSingle(pdu)
+		return s.writeSingle(dst, pdu)
 	case FuncWriteMultiple:
-		return s.writeMultiple(pdu)
+		return s.writeMultiple(dst, pdu)
 	default:
-		return s.exception(fn, ExcIllegalFunction), nil
+		return s.exception(dst, fn, ExcIllegalFunction), nil
 	}
 }
 
-func (s *Server) exception(fn, code byte) []byte {
-	return appendCRC([]byte{s.UnitID, fn | 0x80, code})
+func (s *Server) exception(dst []byte, fn, code byte) []byte {
+	return appendCRC(append(dst, s.UnitID, fn|0x80, code), len(dst))
 }
 
-func (s *Server) readHolding(pdu []byte) ([]byte, error) {
+func (s *Server) readHolding(dst, pdu []byte) ([]byte, error) {
 	if len(pdu) != 4 {
-		return nil, ErrMalformed
+		return dst, ErrMalformed
 	}
 	addr := binary.BigEndian.Uint16(pdu[0:2])
 	count := binary.BigEndian.Uint16(pdu[2:4])
 	if count == 0 || count > 125 {
-		return s.exception(FuncReadHolding, ExcIllegalValue), nil
+		return s.exception(dst, FuncReadHolding, ExcIllegalValue), nil
 	}
-	out := []byte{s.UnitID, FuncReadHolding, byte(count * 2)}
+	out := append(dst, s.UnitID, FuncReadHolding, byte(count*2))
 	for i := uint16(0); i < count; i++ {
 		v, ok := s.Regs.Read(addr + i)
 		if !ok {
-			return s.exception(FuncReadHolding, ExcIllegalAddress), nil
+			return s.exception(dst, FuncReadHolding, ExcIllegalAddress), nil
 		}
 		out = binary.BigEndian.AppendUint16(out, v)
 	}
-	return appendCRC(out), nil
+	return appendCRC(out, len(dst)), nil
 }
 
-func (s *Server) writeSingle(pdu []byte) ([]byte, error) {
+func (s *Server) writeSingle(dst, pdu []byte) ([]byte, error) {
 	if len(pdu) != 4 {
-		return nil, ErrMalformed
+		return dst, ErrMalformed
 	}
 	addr := binary.BigEndian.Uint16(pdu[0:2])
 	value := binary.BigEndian.Uint16(pdu[2:4])
 	if !s.Regs.Write(addr, value) {
-		return s.exception(FuncWriteSingle, ExcIllegalAddress), nil
+		return s.exception(dst, FuncWriteSingle, ExcIllegalAddress), nil
 	}
 	// Echo per spec.
-	out := []byte{s.UnitID, FuncWriteSingle}
+	out := append(dst, s.UnitID, FuncWriteSingle)
 	out = binary.BigEndian.AppendUint16(out, addr)
 	out = binary.BigEndian.AppendUint16(out, value)
-	return appendCRC(out), nil
+	return appendCRC(out, len(dst)), nil
 }
 
-func (s *Server) writeMultiple(pdu []byte) ([]byte, error) {
+func (s *Server) writeMultiple(dst, pdu []byte) ([]byte, error) {
 	if len(pdu) < 5 {
-		return nil, ErrMalformed
+		return dst, ErrMalformed
 	}
 	addr := binary.BigEndian.Uint16(pdu[0:2])
 	count := binary.BigEndian.Uint16(pdu[2:4])
 	byteCount := int(pdu[4])
 	if count == 0 || count > 123 || byteCount != int(count)*2 || len(pdu) != 5+byteCount {
-		return s.exception(FuncWriteMultiple, ExcIllegalValue), nil
+		return s.exception(dst, FuncWriteMultiple, ExcIllegalValue), nil
 	}
 	// Validate the whole window first (atomic write).
 	for i := uint16(0); i < count; i++ {
 		if _, ok := s.Regs.Read(addr + i); !ok {
-			return s.exception(FuncWriteMultiple, ExcIllegalAddress), nil
+			return s.exception(dst, FuncWriteMultiple, ExcIllegalAddress), nil
 		}
 	}
 	for i := uint16(0); i < count; i++ {
 		v := binary.BigEndian.Uint16(pdu[5+2*i:])
 		s.Regs.Write(addr+i, v)
 	}
-	out := []byte{s.UnitID, FuncWriteMultiple}
+	out := append(dst, s.UnitID, FuncWriteMultiple)
 	out = binary.BigEndian.AppendUint16(out, addr)
 	out = binary.BigEndian.AppendUint16(out, count)
-	return appendCRC(out), nil
+	return appendCRC(out, len(dst)), nil
 }
 
 // Client builds requests for and parses responses from a Server.
@@ -231,50 +238,63 @@ type Client struct {
 
 // ReadHoldingRequest builds a read request for count registers at addr.
 func (c *Client) ReadHoldingRequest(addr, count uint16) []byte {
-	out := []byte{c.UnitID, FuncReadHolding}
+	return c.AppendReadHoldingRequest(nil, addr, count)
+}
+
+// AppendReadHoldingRequest appends a read request for count registers
+// at addr to dst.
+func (c *Client) AppendReadHoldingRequest(dst []byte, addr, count uint16) []byte {
+	out := append(dst, c.UnitID, FuncReadHolding)
 	out = binary.BigEndian.AppendUint16(out, addr)
 	out = binary.BigEndian.AppendUint16(out, count)
-	return appendCRC(out)
+	return appendCRC(out, len(dst))
 }
 
 // WriteSingleRequest builds a single-register write.
 func (c *Client) WriteSingleRequest(addr, value uint16) []byte {
-	out := []byte{c.UnitID, FuncWriteSingle}
+	return c.AppendWriteSingleRequest(nil, addr, value)
+}
+
+// AppendWriteSingleRequest appends a single-register write to dst.
+func (c *Client) AppendWriteSingleRequest(dst []byte, addr, value uint16) []byte {
+	out := append(dst, c.UnitID, FuncWriteSingle)
 	out = binary.BigEndian.AppendUint16(out, addr)
 	out = binary.BigEndian.AppendUint16(out, value)
-	return appendCRC(out)
+	return appendCRC(out, len(dst))
 }
 
 // ParseReadResponse extracts register values from a read response.
 func (c *Client) ParseReadResponse(frame []byte) ([]uint16, error) {
+	return c.AppendReadResponse(nil, frame)
+}
+
+// AppendReadResponse is ParseReadResponse appending the register values
+// to dst. On error it returns dst as it was.
+func (c *Client) AppendReadResponse(dst []uint16, frame []byte) ([]uint16, error) {
 	body, err := checkCRC(frame)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if len(body) < 3 {
-		return nil, ErrShort
+		return dst, ErrShort
 	}
 	if body[0] != c.UnitID {
-		return nil, ErrUnitID
+		return dst, ErrUnitID
 	}
 	if body[1]&0x80 != 0 {
-		if len(body) < 3 {
-			return nil, ErrMalformed
-		}
-		return nil, &ExceptionError{Function: body[1] &^ 0x80, Code: body[2]}
+		return dst, &ExceptionError{Function: body[1] &^ 0x80, Code: body[2]}
 	}
 	if body[1] != FuncReadHolding {
-		return nil, ErrMalformed
+		return dst, ErrMalformed
 	}
 	n := int(body[2])
 	if n%2 != 0 || len(body) != 3+n {
-		return nil, ErrMalformed
+		return dst, ErrMalformed
 	}
-	vals := make([]uint16, n/2)
-	for i := range vals {
-		vals[i] = binary.BigEndian.Uint16(body[3+2*i:])
+	for i := 3; i < len(body); i += 2 {
+		dst = append(dst, binary.BigEndian.Uint16(body[i:]))
 	}
-	return vals, nil
+	return dst, nil
 }
 
 // CheckWriteResponse validates a write echo (single or multiple).

@@ -79,7 +79,7 @@ func TestIllegalAddressException(t *testing.T) {
 
 func TestIllegalFunction(t *testing.T) {
 	srv, cli := newPair()
-	frame := appendCRC([]byte{9, 0x55, 0, 0})
+	frame := appendCRC([]byte{9, 0x55, 0, 0}, 0)
 	resp, err := srv.Handle(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestWriteMultiple(t *testing.T) {
 	srv, cli := newPair()
 	// Build a write-multiple by hand: addr=20 count=2 values 7,8.
 	body := []byte{9, FuncWriteMultiple, 0, 20, 0, 2, 4, 0, 7, 0, 8}
-	resp, err := srv.Handle(appendCRC(body))
+	resp, err := srv.Handle(appendCRC(body, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestWriteMultiple(t *testing.T) {
 		t.Fatalf("reg 21 = %d, want 8", v)
 	}
 	// Mismatched byte count rejected with exception.
-	bad := appendCRC([]byte{9, FuncWriteMultiple, 0, 20, 0, 2, 3, 0, 7, 0})
+	bad := appendCRC([]byte{9, FuncWriteMultiple, 0, 20, 0, 2, 3, 0, 7, 0}, 0)
 	resp, err = srv.Handle(bad)
 	if err != nil {
 		t.Fatal(err)
@@ -251,5 +251,61 @@ func TestCRCTableMatchesBitwise(t *testing.T) {
 		if got, want := CRC16(frame), crc16Bitwise(frame); got != want {
 			t.Fatalf("frame %d (%d bytes): CRC16 = %#04x, bitwise = %#04x", i, len(frame), got, want)
 		}
+	}
+}
+
+// TestAppendFramesReuseBuffers: the Append forms build the same frames
+// as their allocating counterparts after whatever dst already holds,
+// leave dst as it was on error, and with reused buffers a read or write
+// round trip allocates nothing.
+func TestAppendFramesReuseBuffers(t *testing.T) {
+	srv, cli := newPair()
+	srv.Regs.Write(3, 1234)
+	srv.Regs.Write(4, 42)
+	prefix := []byte{0xAA}
+	same := func(what string, got, want []byte) {
+		t.Helper()
+		if string(got) != string(prefix)+string(want) {
+			t.Fatalf("%s = %x, want %x after the prefix", what, got, want)
+		}
+	}
+	req := cli.AppendReadHoldingRequest(prefix, 3, 2)
+	same("read request", req, cli.ReadHoldingRequest(3, 2))
+	want, err := srv.Handle(req[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.AppendHandle(prefix, req[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("read response", resp, want)
+	vals, err := cli.AppendReadResponse([]uint16{7}, resp[1:])
+	if err != nil || len(vals) != 3 || vals[0] != 7 || vals[1] != 1234 || vals[2] != 42 {
+		t.Fatalf("vals = %v, err = %v", vals, err)
+	}
+	same("write request", cli.AppendWriteSingleRequest(prefix, 5, 9), cli.WriteSingleRequest(5, 9))
+	bad := cli.ReadHoldingRequest(99, 2) // runs past the register window
+	excWant, _ := srv.Handle(bad)
+	excGot, _ := srv.AppendHandle(prefix, bad)
+	same("exception", excGot, excWant)
+	if out, err := srv.AppendHandle(prefix, []byte{1, 2, 3, 4}); err == nil || string(out) != string(prefix) {
+		t.Fatalf("corrupt frame: out = %x, err = %v", out, err)
+	}
+	if out, err := cli.AppendReadResponse([]uint16{7}, excWant); err == nil || len(out) != 1 {
+		t.Fatalf("exception response: out = %v, err = %v", out, err)
+	}
+
+	reqBuf, respBuf, valBuf := make([]byte, 0, 16), make([]byte, 0, 16), make([]uint16, 0, 2)
+	allocs := testing.AllocsPerRun(100, func() {
+		reqBuf = cli.AppendReadHoldingRequest(reqBuf[:0], 3, 2)
+		respBuf, _ = srv.AppendHandle(respBuf[:0], reqBuf)
+		valBuf, _ = cli.AppendReadResponse(valBuf[:0], respBuf)
+		reqBuf = cli.AppendWriteSingleRequest(reqBuf[:0], 5, valBuf[0])
+		respBuf, _ = srv.AppendHandle(respBuf[:0], reqBuf)
+		_ = cli.CheckWriteResponse(respBuf)
+	})
+	if allocs != 0 {
+		t.Fatalf("round trip with reused buffers: %v allocs, want 0", allocs)
 	}
 }

@@ -209,6 +209,44 @@ func TestGasPlantPERValidation(t *testing.T) {
 	}
 }
 
+// TestWithPERValidation: WithPER takes a rate in [0,1]. A NaN fails
+// the range check like any other out-of-range rate instead of slipping
+// past it and leaving the cell on the distance model.
+func TestWithPERValidation(t *testing.T) {
+	cases := []struct {
+		per float64
+		ok  bool
+	}{
+		{per: -0.1},
+		{per: 0, ok: true},
+		{per: 0.3, ok: true},
+		{per: 1, ok: true},
+		{per: 1.5},
+		{per: math.NaN()},
+	}
+	for _, tc := range cases {
+		cell, err := NewCellWith(CellConfig{Seed: 1}, WithNodes(1, 2, 3), WithPER(tc.per))
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("WithPER(%v): accepted, want an error", tc.per)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("WithPER(%v): %v", tc.per, err)
+			continue
+		}
+		// WithPER(0) is the perfect channel, which forces no rate.
+		want := tc.per
+		if tc.per == 0 {
+			want = -1
+		}
+		if got := cell.Medium().ForcedPER(); got != want {
+			t.Errorf("WithPER(%v): forced PER = %v, want %v", tc.per, got, want)
+		}
+	}
+}
+
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() (float64, NodeID) {
 		s := newGasPlant(t, DefaultGasPlantConfig())

@@ -2,6 +2,7 @@ package evm
 
 import (
 	"fmt"
+	"math"
 
 	"evm/internal/radio"
 	"evm/internal/sim"
@@ -148,7 +149,7 @@ func (s *cellSpec) validate() error {
 		return fmt.Errorf("evm: placement %s holds at most %d nodes, got %d",
 			s.placement.name, s.placement.capacity, len(s.ids))
 	}
-	if s.hasPER && (s.per < 0 || s.per > 1) {
+	if s.hasPER && (math.IsNaN(s.per) || s.per < 0 || s.per > 1) {
 		return fmt.Errorf("evm: packet error rate %g outside [0,1]", s.per)
 	}
 	if s.slotsPerNode < 0 {
