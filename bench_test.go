@@ -60,19 +60,16 @@ func runFig6(seed uint64) (Fig6Result, uint64, error) {
 // runCounted runs one spec on a serial Runner and returns its result with
 // the number of engine events the run fired.
 func runCounted(spec RunSpec) (RunResult, uint64) {
-	var eng func() *sim.Engine
+	var eng *sim.Engine
 	r := &Runner{Workers: 1, Instrument: func(_ RunSpec, exp *Experiment) func(map[string]float64) {
-		eng = exp.Cell.Engine
-		if exp.Campus != nil {
-			eng = exp.Campus.Engine
-		}
+		eng = exp.Engine()
 		return nil
 	}}
 	res := r.RunOne(spec)
 	if eng == nil {
 		return res, 0
 	}
-	return res, eng().Dispatched()
+	return res, eng.Dispatched()
 }
 
 // --- E2: fail-over latency distribution vs packet loss ----------------------
@@ -519,6 +516,7 @@ func BenchmarkStateSharing(b *testing.B) {
 // refinery on the lossy ring backbone with an outage window on unit-a)
 // once per policy and reports the coordinator overload ticks — the
 // headline of the PR-3 policy experiment. Campus-BQP should report 1.
+// Each run must report the policy it asked for.
 func BenchmarkPlacementPolicies(b *testing.B) {
 	for _, pol := range []string{PolicyLeastLoaded, PolicyCampusBQP, PolicyAffinity} {
 		pol := pol
@@ -532,6 +530,9 @@ func BenchmarkPlacementPolicies(b *testing.B) {
 				}})
 				if res[0].Err != nil {
 					b.Fatal(res[0].Err)
+				}
+				if res[0].Policy != pol {
+					b.Fatalf("builder resolved policy %q, want %q", res[0].Policy, pol)
 				}
 				overloads += res[0].Metrics[MetricCellOverloads]
 				rebalances += res[0].Metrics[MetricRebalances]

@@ -11,6 +11,7 @@
 package evmd
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -455,29 +456,18 @@ func (s *Server) execute(run *Run) {
 		Workers: 1,
 		Trace:   s.cfg.Trace,
 		Instrument: func(spec evm.RunSpec, exp *evm.Experiment) func(map[string]float64) {
-			var bus *evm.Bus
-			var now func() time.Duration
 			var cells []CellStatus
-			if exp.Campus != nil {
-				bus, now = exp.Campus.Events(), exp.Campus.Now
-				for _, c := range exp.Campus.Cells() {
-					cells = append(cells, CellStatus{Cell: c.Name(), Members: len(c.Members()), Nodes: len(c.Nodes())})
-				}
-			} else {
-				bus, now = exp.Cell.Events(), exp.Cell.Now
-				name := exp.Cell.Name()
-				if name == "" {
-					name = "cell"
-				}
-				cells = []CellStatus{{Cell: name, Members: len(exp.Cell.Members()), Nodes: len(exp.Cell.Nodes())}}
+			for _, c := range exp.Cells() {
+				cells = append(cells, CellStatus{Cell: cmp.Or(c.Name(), "cell"), Members: len(c.Members()), Nodes: len(c.Nodes())})
 			}
 			run.mu.Lock()
 			run.cells = cells
 			run.mu.Unlock()
-			sub := bus.Subscribe(func(ev evm.Event) { run.stream.observe(ev) })
+			sub := exp.Bus().Subscribe(func(ev evm.Event) { run.stream.observe(ev) })
+			eng := exp.Engine()
 			return func(metrics map[string]float64) {
 				sub.Cancel()
-				run.stream.finalize(now(), metrics)
+				run.stream.finalize(eng.Now(), metrics)
 			}
 		},
 	}

@@ -278,11 +278,7 @@ func SerialEvents(spec evm.RunSpec) ([]EventRecord, error) {
 	runner := &evm.Runner{
 		Workers: 1,
 		Instrument: func(_ evm.RunSpec, exp *evm.Experiment) func(map[string]float64) {
-			bus := exp.Cell.Events
-			if exp.Campus != nil {
-				bus = exp.Campus.Events
-			}
-			sub := bus().Subscribe(func(ev evm.Event) { ref.stream.observe(ev) })
+			sub := exp.Bus().Subscribe(func(ev evm.Event) { ref.stream.observe(ev) })
 			return func(map[string]float64) { sub.Cancel() }
 		},
 	}

@@ -101,11 +101,7 @@ func EventStrings(s Spec, seed uint64) ([]string, error) {
 		Workers: 1,
 		Build:   func(run evm.RunSpec) (*evm.Experiment, error) { return buildExperiment(s, run) },
 		Instrument: func(_ evm.RunSpec, exp *evm.Experiment) func(map[string]float64) {
-			bus := exp.Cell.Events
-			if exp.Campus != nil {
-				bus = exp.Campus.Events
-			}
-			sub := bus().Subscribe(func(ev evm.Event) { lines = append(lines, ev.String()) })
+			sub := exp.Bus().Subscribe(func(ev evm.Event) { lines = append(lines, ev.String()) })
 			return func(map[string]float64) { sub.Cancel() }
 		},
 	}

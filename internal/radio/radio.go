@@ -149,13 +149,18 @@ func (r *Radio) endTX(end *txEnd) {
 }
 
 // EnergyConsumedMAH returns battery charge consumed so far including the
-// current (unsettled) state interval.
+// current (unsettled) state interval. It only reads: the interval is
+// priced on a copy of the battery, so lastSince keeps the state-entry
+// time that frame delivery checks.
 func (r *Radio) EnergyConsumedMAH() float64 {
 	if r.battery == nil {
 		return 0
 	}
-	r.settle()
-	return r.battery.ConsumedMAH()
+	b := *r.battery
+	if !r.failed {
+		b.spend(r.state, r.med.eng.Now()-r.lastSince)
+	}
+	return b.ConsumedMAH()
 }
 
 // --- AM-carrier time synchronization -----------------------------------

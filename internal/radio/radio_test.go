@@ -268,6 +268,36 @@ func TestEnergySplitIntervalBitIdentical(t *testing.T) {
 	}
 }
 
+// TestEnergyReadMidReceptionKeepsFrame: reading a listening receiver's
+// charge while a frame is on air must neither drop the frame nor change
+// what the reading reports against an unread twin.
+func TestEnergyReadMidReceptionKeepsFrame(t *testing.T) {
+	eng, m := newTestMedium(t, perfectConfig())
+	a := attach(t, m, 1, Position{0, 0})
+	read := attach(t, m, 2, Position{5, 0})
+	twin := attach(t, m, 3, Position{0, 5})
+	got := map[NodeID]int{}
+	for _, r := range []*Radio{read, twin} {
+		r.SetHandler(func(Packet) { got[r.ID()]++ })
+		r.SetState(StateRX)
+	}
+	var mid float64
+	eng.At(time.Millisecond, func() {
+		air, err := a.Send(Packet{Dst: Broadcast, Payload: []byte("hello")})
+		if err != nil {
+			t.Errorf("send: %v", err)
+		}
+		eng.After(air/2, func() { mid = read.EnergyConsumedMAH() })
+	})
+	eng.Run()
+	if got[2] != 1 || got[3] != 1 {
+		t.Fatalf("delivered %v, want one frame at each receiver", got)
+	}
+	if want := twin.EnergyConsumedMAH(); mid <= 0 || mid >= want || read.EnergyConsumedMAH() != want {
+		t.Fatalf("mid-frame reading %.17g, end %.17g, unread twin %.17g", mid, read.EnergyConsumedMAH(), want)
+	}
+}
+
 // TestEnergyInstantDrainAddsToStateCharge: ConsumeFraction adds to the
 // priced state times rather than replacing them.
 func TestEnergyInstantDrainAddsToStateCharge(t *testing.T) {

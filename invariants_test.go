@@ -1,6 +1,7 @@
 package evm
 
 import (
+	"cmp"
 	"testing"
 	"time"
 )
@@ -14,36 +15,14 @@ func replayScenario(t *testing.T, spec RunSpec) []Event {
 		t.Fatal(err)
 	}
 	defer exp.Cleanup()
-	var bus *Bus
-	if exp.Campus != nil {
-		bus = exp.Campus.Events()
-	} else {
-		bus = exp.Cell.Events()
-	}
-	log := bus.Log()
+	log := exp.Bus().Log()
 	defer log.Close()
-	if len(spec.Faults.Steps) > 0 {
-		if exp.Campus != nil {
-			err = exp.Campus.ApplyFaultPlan(spec.FaultCell, spec.Faults)
-		} else {
-			err = exp.Cell.ApplyFaultPlan(spec.Faults)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	if err := exp.ApplyFaultPlan(spec.FaultCell, spec.Faults); err != nil {
+		t.Fatal(err)
 	}
-	horizon := spec.Horizon
-	if horizon <= 0 {
-		horizon = exp.DefaultHorizon
-	}
-	if horizon > 45*time.Second {
-		horizon = 45 * time.Second
-	}
-	if exp.Campus != nil {
-		exp.Campus.Run(horizon)
-	} else {
-		exp.Cell.Run(horizon)
-	}
+	horizon := min(cmp.Or(spec.Horizon, exp.DefaultHorizon), 45*time.Second)
+	eng := exp.Engine()
+	_ = eng.RunUntil(eng.Now() + horizon)
 	return log.Events()
 }
 

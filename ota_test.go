@@ -221,6 +221,46 @@ func TestOTACampusRolloutAcceptance(t *testing.T) {
 	}
 }
 
+// TestOTARolloutStrategies runs the ota-campus rollout to v2 under each
+// built-in staging strategy on seed 1: each must complete, with its own
+// stage count, and deliver one capsule to each of the 16 loop replicas.
+func TestOTARolloutStrategies(t *testing.T) {
+	for _, tc := range []struct {
+		strategy string
+		stages   int
+	}{
+		{RolloutCanaryCell, 2},
+		{RolloutCellByCell, 4},
+		{RolloutAllAtOnce, 1},
+	} {
+		t.Run(tc.strategy, func(t *testing.T) {
+			campus, err := NewOTACampus(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer campus.Stop()
+			log := campus.Events().Log()
+			var rollout *Rollout
+			campus.Engine().After(OTARolloutAt, func() {
+				rollout, err = campus.StartRollout(OTACampusRolloutSpec(tc.strategy))
+			})
+			campus.Run(30 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rollout.State() != RolloutComplete {
+				t.Fatalf("rollout ended %s (%s)", rollout.State(), rollout.Reason())
+			}
+			if n := len(rollout.Stages()); n != tc.stages {
+				t.Errorf("stages = %d, want %d", n, tc.stages)
+			}
+			if n := log.Count(func(ev Event) bool { _, ok := ev.(CapsuleDeliveryEvent); return ok }); n != 16 {
+				t.Errorf("capsule deliveries = %d, want 16", n)
+			}
+		})
+	}
+}
+
 // TestOTABadCapsuleRollback seeds a bad capsule (attests cleanly, never
 // actuates): the health window trips missed-actuation, exactly one
 // RollbackEvent fires, and the task resumes on the prior version with

@@ -1,10 +1,13 @@
 package evm
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
+
+	"evm/internal/sim"
 )
 
 // RunSpec names one point of an experiment grid: a registered scenario,
@@ -41,7 +44,9 @@ func (s RunSpec) Label() string {
 
 // Experiment is one runnable scenario instance, produced by a
 // ScenarioBuilder. The Runner applies the spec's fault plan, advances the
-// cell to the horizon, collects Metrics and calls Cleanup.
+// cell to the horizon, collects Metrics and calls Cleanup. An experiment
+// holds exactly one of Cell and Campus; callers reach either through
+// Bus, Engine, Cells and ApplyFaultPlan.
 type Experiment struct {
 	// Cell is the instrumented cell the run advances. Leave nil for
 	// campus scenarios, which set Campus instead.
@@ -66,6 +71,58 @@ type Experiment struct {
 	QoS func() QoSReport
 	// Cleanup releases the experiment (stop feeds, runtimes); may be nil.
 	Cleanup func()
+}
+
+// check reports an experiment that is nil or does not hold exactly one
+// of a cell and a campus.
+func (e *Experiment) check() error {
+	switch {
+	case e == nil || e.Cell == nil && e.Campus == nil:
+		return errors.New("built no cell or campus")
+	case e.Cell != nil && e.Campus != nil:
+		return errors.New("built both a cell and a campus")
+	}
+	return nil
+}
+
+// Bus returns the run's event stream: the campus's merged stream, or the
+// cell's bus.
+func (e *Experiment) Bus() *Bus {
+	if e.Campus != nil {
+		return e.Campus.Events()
+	}
+	return e.Cell.Events()
+}
+
+// Engine returns the virtual-time engine the run advances: the campus's
+// shared engine, or the cell's.
+func (e *Experiment) Engine() *sim.Engine {
+	if e.Campus != nil {
+		return e.Campus.Engine()
+	}
+	return e.Cell.Engine()
+}
+
+// Cells returns the campus's cells in declaration order, or the one cell.
+func (e *Experiment) Cells() []*Cell {
+	if e.Campus != nil {
+		return e.Campus.Cells()
+	}
+	return []*Cell{e.Cell}
+}
+
+// ApplyFaultPlan schedules p on the run, offsets measured from now. On a
+// campus it targets the named cell ("" = the first cell), as
+// RunSpec.FaultCell documents; a single cell ignores the name. A plan
+// with no steps is a no-op.
+func (e *Experiment) ApplyFaultPlan(cell string, p FaultPlan) error {
+	switch {
+	case len(p.Steps) == 0:
+		return nil
+	case e.Campus != nil:
+		return e.Campus.ApplyFaultPlan(cell, p)
+	}
+	return e.Cell.ApplyFaultPlan(p)
 }
 
 // ScenarioBuilder constructs a fresh Experiment for one spec. Builders
@@ -122,12 +179,22 @@ func BuildScenario(spec RunSpec) (*Experiment, error) {
 	if build == nil {
 		return nil, fmt.Errorf("evm: unknown scenario %q (registered: %v)", spec.Scenario, Scenarios())
 	}
-	exp, err := build(spec)
+	return build.checked(spec)
+}
+
+// checked calls the builder and rejects an experiment that does not hold
+// exactly one of a cell and a campus, releasing it first. BuildScenario
+// and the Runner's own Build both go through it.
+func (b ScenarioBuilder) checked(spec RunSpec) (*Experiment, error) {
+	exp, err := b(spec)
 	if err != nil {
 		return nil, err
 	}
-	if exp == nil || (exp.Cell == nil && exp.Campus == nil) {
-		return nil, fmt.Errorf("evm: scenario %q built no cell or campus", spec.Scenario)
+	if err := exp.check(); err != nil {
+		if exp != nil && exp.Cleanup != nil {
+			exp.Cleanup()
+		}
+		return nil, fmt.Errorf("evm: scenario %q %w", spec.Scenario, err)
 	}
 	return exp, nil
 }

@@ -172,14 +172,14 @@ func (r *Runner) Run(specs []RunSpec) []RunResult {
 func (r *Runner) RunOne(spec RunSpec) RunResult { return r.runSpec(spec) }
 
 // runSpec executes a single grid point: build, instrument, fault, run,
-// measure, clean up. Campus experiments are driven through the campus
-// facade (merged event stream, cell-targeted fault plan, shared engine).
+// measure, clean up. Cells and campuses are driven alike through the
+// Experiment accessors.
 func (r *Runner) runSpec(spec RunSpec) RunResult {
 	res := RunResult{Spec: spec}
 	var exp *Experiment
 	var err error
 	if r.Build != nil {
-		exp, err = r.Build(spec)
+		exp, err = r.Build.checked(spec)
 	} else {
 		exp, err = BuildScenario(spec)
 	}
@@ -191,23 +191,14 @@ func (r *Runner) runSpec(spec RunSpec) RunResult {
 		defer exp.Cleanup()
 	}
 	res.Policy = exp.Policy
+	bus, eng := exp.Bus(), exp.Engine()
 	var tracer *span.Tracer
 	if r.Trace {
-		if exp.Campus != nil {
-			tracer = exp.Campus.EnableTracing(spec.Seed)
-		} else {
-			tracer = exp.Cell.EnableTracing(spec.Seed)
-		}
+		tracer = enableTracing(eng, bus, spec.Seed)
 	}
 	var finish func(map[string]float64)
 	if r.Instrument != nil {
 		finish = r.Instrument(spec, exp)
-	}
-	var bus *Bus
-	if exp.Campus != nil {
-		bus = exp.Campus.Events()
-	} else {
-		bus = exp.Cell.Events()
 	}
 	counts := map[string]float64{
 		MetricFailovers:           0,
@@ -307,16 +298,9 @@ func (r *Runner) runSpec(spec RunSpec) RunResult {
 		log = bus.Log()
 		defer log.Close()
 	}
-	if len(spec.Faults.Steps) > 0 {
-		if exp.Campus != nil {
-			err = exp.Campus.ApplyFaultPlan(spec.FaultCell, spec.Faults)
-		} else {
-			err = exp.Cell.ApplyFaultPlan(spec.Faults)
-		}
-		if err != nil {
-			res.Err = err
-			return res
-		}
+	if err := exp.ApplyFaultPlan(spec.FaultCell, spec.Faults); err != nil {
+		res.Err = err
+		return res
 	}
 	horizon := spec.Horizon
 	if horizon <= 0 {
@@ -325,11 +309,7 @@ func (r *Runner) runSpec(spec RunSpec) RunResult {
 	if horizon <= 0 {
 		horizon = time.Minute
 	}
-	if exp.Campus != nil {
-		exp.Campus.Run(horizon)
-	} else {
-		exp.Cell.Run(horizon)
-	}
+	_ = eng.RunUntil(eng.Now() + horizon)
 	res.Metrics = counts
 	for _, c := range checkers {
 		res.Violations = append(res.Violations, c.Violations()...)

@@ -2,8 +2,12 @@ package evm
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
+
+	"evm/internal/sim"
 )
 
 // crashNode2 works across the built-in scenarios: node 2 is Ctrl-A in the
@@ -105,6 +109,109 @@ func TestRunnerUnknownScenario(t *testing.T) {
 	results := (&Runner{}).Run([]RunSpec{{Scenario: "no-such-thing", Seed: 1}})
 	if len(results) != 1 || results[0].Err == nil {
 		t.Fatal("unknown scenario did not error")
+	}
+}
+
+// TestRunnerRejectsMalformedExperiments: an experiment that is nil or
+// does not hold exactly one of a cell and a campus fails its run with an
+// error, through Runner.Build as through the registry, and a rejected
+// experiment is still cleaned up.
+func TestRunnerRejectsMalformedExperiments(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func() (*Experiment, error)
+		want  string
+	}{
+		{"nil", func() (*Experiment, error) { return nil, nil }, "built no cell or campus"},
+		{"neither", func() (*Experiment, error) { return &Experiment{}, nil }, "built no cell or campus"},
+		{"both", func() (*Experiment, error) {
+			cell, err := BuildScenario(RunSpec{Scenario: ScenarioGasPlant, Seed: 1})
+			if err != nil {
+				return nil, err
+			}
+			campus, err := BuildScenario(RunSpec{Scenario: ScenarioCampusFailover, Seed: 1})
+			if err != nil {
+				return nil, err
+			}
+			return &Experiment{Cell: cell.Cell, Campus: campus.Campus, Cleanup: func() {
+				cell.Cleanup()
+				campus.Cleanup()
+			}}, nil
+		}, "built both a cell and a campus"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var built *Experiment
+			cleaned := false
+			r := &Runner{Workers: 1, Build: func(RunSpec) (*Experiment, error) {
+				exp, err := tc.build()
+				if exp != nil {
+					cleanup := exp.Cleanup
+					exp.Cleanup = func() {
+						cleaned = true
+						if cleanup != nil {
+							cleanup()
+						}
+					}
+				}
+				built = exp
+				return exp, err
+			}}
+			res := r.RunOne(RunSpec{Scenario: "malformed", Seed: 1})
+			if res.Err == nil || !strings.Contains(res.Err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", res.Err, tc.want)
+			}
+			if res.Metrics != nil {
+				t.Fatalf("rejected run reported metrics %v", res.Metrics)
+			}
+			if built != nil && !cleaned {
+				t.Fatal("rejected experiment was not cleaned up")
+			}
+		})
+	}
+}
+
+// TestExperimentAccessors: for every registered scenario, Bus, Engine and
+// Cells return the underlying cell's or campus's objects, a single-cell
+// experiment has exactly one cell, and ApplyFaultPlan honours the cell
+// name on a campus only.
+func TestExperimentAccessors(t *testing.T) {
+	for _, sc := range Scenarios() {
+		t.Run(sc, func(t *testing.T) {
+			exp, err := BuildScenario(RunSpec{Scenario: sc, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer exp.Cleanup()
+			var bus *Bus
+			var eng *sim.Engine
+			var cells []*Cell
+			single := exp.Cell != nil
+			if single {
+				bus, eng, cells = exp.Cell.Events(), exp.Cell.Engine(), []*Cell{exp.Cell}
+			} else {
+				bus, eng, cells = exp.Campus.Events(), exp.Campus.Engine(), exp.Campus.Cells()
+			}
+			if exp.Bus() != bus {
+				t.Error("Bus is not the underlying event stream")
+			}
+			if exp.Engine() != eng {
+				t.Error("Engine is not the underlying engine")
+			}
+			if got := exp.Cells(); !slices.Equal(got, cells) || len(got) == 0 {
+				t.Errorf("Cells = %v, want %v", got, cells)
+			}
+			if single && len(exp.Cells()) != 1 {
+				t.Errorf("single-cell experiment has %d cells", len(exp.Cells()))
+			}
+			if err := exp.ApplyFaultPlan("no-such-cell", FaultPlan{}); err != nil {
+				t.Errorf("empty plan: %v", err)
+			}
+			crash := FaultPlan{Steps: []FaultStep{{At: time.Second, CrashNode: cells[0].Members()[0]}}}
+			if err := exp.ApplyFaultPlan("no-such-cell", crash); (err == nil) != single {
+				t.Errorf("plan on an unknown cell name: err = %v, single cell = %t", err, single)
+			}
+		})
 	}
 }
 
